@@ -10,7 +10,7 @@ norm identity ||P_perp U M||_1 = tr sqrt(M^dag (Id - U_N^dag U_N) M).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable
 
@@ -91,14 +91,26 @@ class LedgerEntry:
 
 @dataclass(frozen=True, eq=False)
 class EstimatorLedger:
-    """Accumulated certified bound xi with an append-only breakdown."""
+    """Accumulated certified bound xi with an append-only breakdown.
 
-    entries: tuple[LedgerEntry, ...] = ()
+    A ledger is an immutable snapshot: the first ``_count`` entries of a
+    log that successive snapshots share and only ever append to, so
+    ``record`` costs O(1) amortized.  Recording on a snapshot whose log
+    has already grown past it copies its prefix first, which keeps every
+    snapshot's entries unchanged.
+    """
+
+    _log: list = field(default_factory=list, repr=False)
+    _count: int = 0
     xi: float = 0.0
 
     @classmethod
     def empty(cls) -> "EstimatorLedger":
         return cls()
+
+    @property
+    def entries(self) -> tuple[LedgerEntry, ...]:
+        return tuple(self._log[: self._count])
 
     def record(self, time: float, kind: str, value: float) -> "EstimatorLedger":
         if kind not in LEDGER_KINDS:
@@ -108,10 +120,13 @@ class EstimatorLedger:
             if value < VALUE_NEGATIVE_SLACK:
                 raise EstimatorError(f"negative certified value {value!r}")
             value = 0.0
-        if self.entries and time < self.entries[-1].time:
+        log = self._log
+        if self._count and time < log[self._count - 1].time:
             raise EstimatorError("ledger times must be non-decreasing")
-        entry = LedgerEntry(float(time), kind, value)
-        return EstimatorLedger(self.entries + (entry,), self.xi + value)
+        if len(log) != self._count:
+            log = log[: self._count]
+        log.append(LedgerEntry(float(time), kind, value))
+        return EstimatorLedger(log, self._count + 1, self.xi + value)
 
 
 def xi_step(
@@ -194,13 +209,19 @@ class _DefectContext:
         self.gen_small = shaped_generator(model, shape)
         self.dim_big = dimension(self.big)
 
-    def defect(self, t: float, rho: np.ndarray) -> float:
+    def defect(
+        self, t: float, rho: np.ndarray, applied: np.ndarray | None = None
+    ) -> float:
+        """||(L - L_N) rho||_1; ``applied`` is L_N(t, rho) when the caller
+        already holds it, so that only the grown-shape generator runs."""
         if self.perp.size == 0:
             return 0.0
         emb = np.zeros((self.dim_big, self.dim_big), dtype=np.complex128)
         emb[np.ix_(self.pos, self.pos)] = rho
         delta = self.gen_big.apply(t, emb)
-        delta[np.ix_(self.pos, self.pos)] -= self.gen_small.apply(t, rho)
+        if applied is None:
+            applied = self.gen_small.apply(t, rho)
+        delta[np.ix_(self.pos, self.pos)] -= applied
         return _structured_defect_norm(delta, self.pos, self.perp)
 
 
@@ -209,18 +230,36 @@ def _defect_context(model: LindbladModel, shape: TruncationShape) -> _DefectCont
     return _DefectContext(model, shape)
 
 
-def space_defect_generic(model: LindbladModel, t: float, rho: DenseOperator) -> float:
-    """||(L - L_N) rho||_1 computed exactly on the margin-grown shape."""
+def space_defect_generic(
+    model: LindbladModel,
+    t: float,
+    rho: DenseOperator,
+    applied: np.ndarray | None = None,
+) -> float:
+    """||(L - L_N) rho||_1 computed exactly on the margin-grown shape.
+
+    ``applied``, when given, is L_N(t, rho) as already computed (for
+    instance the last stage of the time step that produced rho).
+    """
     if model.kind != "poly":
         raise ModelError("generic space defect requires a polynomial model")
     ctx = _defect_context(model, rho.shape)
-    return ctx.defect(t, np.asarray(rho.matrix))
+    return ctx.defect(t, np.asarray(rho.matrix), applied)
 
 
-def model_space_defect(model: LindbladModel, t: float, rho: DenseOperator) -> float:
-    """Certified bound on ||(L - L_N) rho||_1 for any supported model kind."""
+def model_space_defect(
+    model: LindbladModel,
+    t: float,
+    rho: DenseOperator,
+    applied: np.ndarray | None = None,
+) -> float:
+    """Certified bound on ||(L - L_N) rho||_1 for any supported model kind.
+
+    ``applied`` is an already computed L_N(t, rho); the polynomial route
+    reuses it, the GKP and cosine routes do not need it.
+    """
     if model.kind == "poly":
-        return space_defect_generic(model, t, rho)
+        return space_defect_generic(model, t, rho, applied)
     if model.kind == "gkp":
         total = 0.0
         for diss in model.dissipators:

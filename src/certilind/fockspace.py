@@ -41,7 +41,9 @@ class ShapeError(ValueError):
 
 def _as_fraction(value) -> Fraction:
     if isinstance(value, float):
-        # exact binary value of the float; rational strings are preferred
+        # nearest fraction with denominator at most 10**12, so a decimal
+        # float such as 0.1 becomes 1/10, not its binary value;
+        # rational strings are preferred
         return Fraction(value).limit_denominator(10**12)
     return Fraction(value)
 

@@ -309,14 +309,22 @@ def _diagonal_of(mat: np.ndarray) -> np.ndarray | None:
     return None
 
 
+def _adjoint(mat: np.ndarray) -> np.ndarray:
+    """C-contiguous conjugate transpose; a transposing copy conjugated in
+    place is faster than ``mat.conj().T`` arithmetic at reference sizes."""
+    adj = np.ascontiguousarray(mat.T)
+    np.conjugate(adj, out=adj)
+    return adj
+
+
 class _ShapedGenerator:
     """Materialized truncated operators of a model on one shape.
 
-    Above a dimension threshold left factors are CSR, right factors CSC
-    (both keep scipy on its fast multiplication path), and diagonal
-    operators collapse to fused broadcast updates.  Ladder-polynomial
-    operators are banded, so this cuts the cost of one generator
-    application by an order of magnitude at reference sizes.
+    Above a dimension threshold the operators are CSR (scipy's fast
+    sparse-times-dense path), and diagonal operators collapse to fused
+    broadcast updates.  Ladder-polynomial operators are banded, so this
+    cuts the cost of one generator application by an order of magnitude
+    at reference sizes.
     """
 
     def __init__(self, model: LindbladModel, shape: TruncationShape):
@@ -325,15 +333,12 @@ class _ShapedGenerator:
         self.dim = dimension(shape)
         self.use_sparse = self.dim >= SPARSE_DIM_THRESHOLD
 
-        def left(mat):
+        def factor(mat):
             return sparse.csr_matrix(mat) if self.use_sparse else mat
 
-        def right(mat):
-            return sparse.csc_matrix(mat) if self.use_sparse else mat
-
         self.h_diag = []  # (coeff, d_i - d_j grid) for diagonal H terms
-        self.h_terms = []
-        self.d_terms = []
+        self.half_terms = []  # (coeff or None, scale, A): Z = scale u(t) A rho
+        self.jumps = []
         self.k_grids = []  # fused -(gdg_i + gdg_j)/2 grids for diagonal gdg
         for coeff, expr in model.hamiltonian:
             h = truncated_expr(expr, shape).matrix
@@ -341,21 +346,45 @@ class _ShapedGenerator:
             if diag is not None:
                 self.h_diag.append((coeff, diag[:, None] - diag[None, :]))
             else:
-                self.h_terms.append((coeff, left(h), right(h)))
+                self.half_terms.append((coeff, -1j, factor(h)))
         for expr in model.dissipators:
             g = truncated_expr(expr, shape).matrix
+            self.jumps.append(factor(g))
             gdg = g.conj().T @ g
             kdiag = _diagonal_of(gdg)
             if kdiag is not None:
                 self.k_grids.append(-0.5 * (kdiag[:, None] + kdiag[None, :]))
-                self.d_terms.append((left(g), right(g.conj().T), None))
             else:
-                self.d_terms.append(
-                    (left(g), right(g.conj().T), (left(gdg), right(gdg)))
-                )
+                self.half_terms.append((None, -0.5, factor(gdg)))
 
     def apply(self, t: float, rho: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(rho)
+        """L_N(t, rho) for a Hermitian ``rho``.
+
+        Every product is taken from the left: with rho Hermitian,
+        -i[H, rho] = Z + Z^dag for Z = -i H rho, -(1/2){K, rho} = Y + Y^dag
+        for Y = -(1/2) K rho, and G rho G^dag = G (G rho)^dag.  On a
+        non-Hermitian ``rho`` the result is not L_N(t, rho).
+        """
+        half = None  # sum of the Z and Y terms
+        for coeff, scale, op in self.half_terms:
+            if coeff is not None:
+                u = coeff(t)
+                if u == 0.0:
+                    continue
+                scale = scale * u
+            z = op @ rho
+            z *= scale
+            if half is None:
+                half = z
+            else:
+                half += z
+        if half is None:
+            out = np.zeros_like(rho)
+        else:
+            out = _adjoint(half)
+            out += half
+        for g in self.jumps:
+            out += g @ _adjoint(g @ rho)
         for coeff, grid in self.h_diag:
             u = coeff(t)
             if u == 0.0:
@@ -363,26 +392,6 @@ class _ShapedGenerator:
             hr = grid * rho
             hr *= -1j * u
             out += hr
-        for coeff, h_left, h_right in self.h_terms:
-            u = coeff(t)
-            if u == 0.0:
-                continue
-            hr = h_left @ rho
-            hr *= -1j * u
-            out += hr
-            rh = rho @ h_right
-            rh *= 1j * u
-            out += rh
-        for g_left, gd_right, gdg_pair in self.d_terms:
-            out += (g_left @ rho) @ gd_right
-            if gdg_pair is not None:
-                gdg_left, gdg_right = gdg_pair
-                k1 = gdg_left @ rho
-                k1 *= -0.5
-                out += k1
-                k2 = rho @ gdg_right
-                k2 *= -0.5
-                out += k2
         for grid in self.k_grids:
             out += grid * rho
         return out
@@ -397,7 +406,8 @@ def apply_truncated(
     model: LindbladModel, t: float, rho: DenseOperator
 ) -> DenseOperator:
     """L_N(rho): commutator plus dissipators built from exactly-truncated
-    operators on rho's shape."""
+    operators on rho's shape.  ``rho`` must be Hermitian (see
+    ``_ShapedGenerator.apply``)."""
     gen = shaped_generator(model, rho.shape)
     return DenseOperator(rho.shape, gen.apply(t, np.asarray(rho.matrix)))
 

@@ -128,6 +128,8 @@ class StepResult(NamedTuple):
     delta_rho: DenseOperator
     dt: float
     h_next: float
+    rho_next: DenseOperator | None = None  # the accepted state itself
+    last_stage: np.ndarray | None = None  # L_N(t + dt, rho_next)
 
 
 # ---------------------------------------------------------------------------
@@ -155,37 +157,45 @@ _DP_ERR = (
 )
 
 
+_DP_ROWS = tuple(np.array(row) for row in _DP_A)
+_DP_ERR_ROW = np.array(_DP_ERR)
+
+
+def _hermitian_part(mat: np.ndarray) -> np.ndarray:
+    """(mat + mat^dag) / 2, exactly Hermitian.  Every state a stepper
+    returns goes through it: the generator's one-sided products are
+    L_N only on Hermitian input."""
+    out = mat + mat.conj().T
+    out *= 0.5
+    return out
+
+
 def _rms(x: np.ndarray) -> float:
     return float(np.sqrt(np.mean(np.abs(x) ** 2)))
 
 
-def _combine(vectors, coefficients):
-    acc = None
-    for v, c in zip(vectors, coefficients):
-        if not c:
-            continue
-        if acc is None:
-            acc = v * c
-        else:
-            acc += c * v
-    return acc
+def _dp_attempt(f, t, y, k0, h):
+    """One trial step from the first stage k0 = f(t, y).
 
-
-def _dp_attempt(f, t, y, h):
-    """One trial step; returns the 5th-order solution and the error vector."""
-    k = [f(t, y)]
-    for i in range(1, 6):
-        acc = _combine(k, _DP_A[i])
-        acc *= h
-        acc += y
-        k.append(f(t + _DP_C[i] * h, acc))
-    y1 = _combine(k, _DP_A[6])
-    y1 *= h
-    y1 += y
-    k.append(f(t + h, y1))  # the last stage sits at the 5th-order solution
-    err = _combine(k, _DP_ERR)
-    err *= h
-    return y1, err, k[0]
+    Returns the 5th-order solution, the error vector and the last stage
+    f(t + h, y1), which is the next step's first stage.  y1 is made
+    exactly Hermitian before that stage is evaluated, so the stage is
+    L_N at the state the caller carries.  The stages share one
+    (7, d, d) array; each stage sum is one real matrix-vector product
+    over its float64 view.
+    """
+    stack = np.empty((7,) + y.shape, dtype=np.complex128)
+    flat = stack.reshape(7, -1).view(np.float64)
+    stack[0] = k0
+    for i in range(1, 7):
+        yi = ((h * _DP_ROWS[i]) @ flat[:i]).view(np.complex128).reshape(y.shape)
+        yi += y
+        if i == 6:
+            yi = _hermitian_part(yi)
+        k = f(t + _DP_C[i] * h, yi)
+        stack[i] = k
+    err = ((h * _DP_ERR_ROW) @ flat).view(np.complex128).reshape(y.shape)
+    return yi, err, k
 
 
 def _error_measure(err, y0, y1, tol):
@@ -193,9 +203,8 @@ def _error_measure(err, y0, y1, tol):
     return _rms(err / scale)
 
 
-def _initial_step(f, t, y, tol, remaining):
+def _initial_step(f, t, y, f0, tol, remaining):
     scale = tol + tol * np.abs(y)
-    f0 = f(t, y)
     d0 = _rms(y / scale)
     d1 = _rms(f0 / scale)
     if d0 < 1e-5 or d1 < 1e-5:
@@ -211,9 +220,15 @@ def _initial_step(f, t, y, tol, remaining):
     return min(100.0 * h0, h1, remaining)
 
 
-def _adaptive_step_raw(f, t, y, tol, remaining, horizon, h_start=None):
-    """One accepted DP5(4) step; returns (increment, dt, h_next)."""
-    h = h_start if h_start and h_start > 0 else _initial_step(f, t, y, tol, remaining)
+def _adaptive_step_raw(f, t, y, tol, remaining, horizon, h_start=None, f0=None):
+    """One accepted DP5(4) step from f0 = f(t, y) (computed when not
+    given); returns (y1, dt, h_next, f(t + dt, y1))."""
+    if f0 is None:
+        f0 = f(t, y)
+    if h_start and h_start > 0:
+        h = h_start
+    else:
+        h = _initial_step(f, t, y, f0, tol, remaining)
     h = min(h, remaining)
     while True:
         if h < STEP_UNDERFLOW_FACTOR * horizon:
@@ -221,7 +236,7 @@ def _adaptive_step_raw(f, t, y, tol, remaining, horizon, h_start=None):
                 f"step size underflow at t={t!r} (h={h!r}); the model may be "
                 "too stiff for the requested tolerance"
             )
-        y1, err, _ = _dp_attempt(f, t, y, h)
+        y1, err, k_last = _dp_attempt(f, t, y, f0, h)
         measure = _error_measure(err, y, y1, tol)
         if measure <= 1.0:
             if measure == 0.0:
@@ -230,7 +245,7 @@ def _adaptive_step_raw(f, t, y, tol, remaining, horizon, h_start=None):
                 factor = min(
                     MAX_STEP_GROWTH, max(MIN_STEP_SHRINK, SAFETY * measure**-0.2)
                 )
-            return y1 - y, h, min(h * factor, horizon)
+            return y1, h, min(h * factor, horizon), k_last
         h *= max(MIN_STEP_SHRINK, SAFETY * measure**-0.2)
 
 
@@ -242,21 +257,28 @@ def adaptive_solve_one_step(
     time_tol: float,
     horizon: float | None = None,
     h_start: float | None = None,
+    first_stage: np.ndarray | None = None,
 ) -> StepResult:
     """One accepted embedded RK 5(4) step of d rho/dt = L_shape(rho).
 
-    Returns the state increment, the step the controller chose, and the
-    suggested next step size.
+    Returns the state increment, the step the controller chose, the
+    suggested next step size, the accepted (exactly Hermitian) state and
+    its stage L_shape(t + dt, rho_next).  Passing that stage back as
+    ``first_stage`` of the next step on the same shape saves one
+    generator application (first same as last).
     """
     if rho.shape != shape:
         raise SolverError("state does not live on the integration shape")
     gen = shaped_generator(model, shape)
     horizon = horizon if horizon is not None else max(abs(t), 1.0)
     remaining = horizon - t if horizon > t else horizon
-    delta, dt, h_next = _adaptive_step_raw(
-        gen.apply, t, np.asarray(rho.matrix), time_tol, remaining, horizon, h_start
+    y = np.asarray(rho.matrix)
+    y1, dt, h_next, stage = _adaptive_step_raw(
+        gen.apply, t, y, time_tol, remaining, horizon, h_start, first_stage
     )
-    return StepResult(DenseOperator(shape, delta), dt, h_next)
+    return StepResult(
+        DenseOperator(shape, y1 - y), dt, h_next, DenseOperator(shape, y1), stage
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +292,7 @@ def euler_stepper(
     """rho + dt * L_N(t, rho)."""
     gen = shaped_generator(model, rho.shape)
     y = np.asarray(rho.matrix)
-    return DenseOperator(rho.shape, y + dt * gen.apply(t, y))
+    return DenseOperator(rho.shape, _hermitian_part(y + dt * gen.apply(t, y)))
 
 
 def taylor_stepper(
@@ -290,7 +312,7 @@ def taylor_stepper(
         term = gen.apply(0.0, term)
         fact *= j
         out = out + (dt**j / fact) * term
-    return DenseOperator(rho.shape, out)
+    return DenseOperator(rho.shape, _hermitian_part(out))
 
 
 def rk4_stepper(
@@ -303,7 +325,8 @@ def rk4_stepper(
     k2 = gen.apply(t + dt / 2, y + dt / 2 * k1)
     k3 = gen.apply(t + dt / 2, y + dt / 2 * k2)
     k4 = gen.apply(t + dt, y + dt * k3)
-    return DenseOperator(rho.shape, y + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4))
+    y1 = y + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    return DenseOperator(rho.shape, _hermitian_part(y1))
 
 
 # ---------------------------------------------------------------------------
@@ -369,15 +392,18 @@ def run_fixed(
     if config.scheme == "adaptive_rk":
         t = 0.0
         h_next = None
+        stage = None
         rho = state
         while t < t_final * (1 - 1e-15):
             step = adaptive_solve_one_step(
-                model, shape, rho, t, config.time_tol, horizon=t_final, h_start=h_next
+                model, shape, rho, t, config.time_tol, horizon=t_final,
+                h_start=h_next, first_stage=stage,
             )
-            rho = rho + step.delta_rho
+            rho = step.rho_next
             t += step.dt
             h_next = step.h_next
-            rate = model_space_defect(model, t, rho)
+            stage = step.last_stage
+            rate = model_space_defect(model, t, rho, stage)
             ledger = xi_step(ledger, t, rate, step.dt)
             log(t, rho.matrix, rate, ledger.xi)
         return RunResult(
@@ -447,12 +473,13 @@ def run_adaptive(
     def budget(time):
         return (time / t_final) * config.space_tol
 
+    stage = None  # L_N at the current state; dropped whenever the shape changes
     while t < t_final * (1 - 1e-15):
         step = adaptive_solve_one_step(
-            model, shape, rho, t, config.time_tol, horizon=t_final, h_start=h_next
+            model, shape, rho, t, config.time_tol, horizon=t_final,
+            h_start=h_next, first_stage=stage,
         )
-        proposed = rho + step.delta_rho
-        rate = model_space_defect(model, t + step.dt, proposed)
+        rate = model_space_defect(model, t + step.dt, step.rho_next, step.last_stage)
         d_xi = step.dt * rate
         while ledger.xi + d_xi >= budget(t + step.dt):
             # rejected: grow and recompute until the budget admits the step
@@ -460,7 +487,7 @@ def run_adaptive(
                 TrajectoryRecord(
                     time=t + step.dt,
                     dim=dimension(shape),
-                    trace_re=float(np.trace(proposed.matrix).real),
+                    trace_re=float(np.trace(step.rho_next.matrix).real),
                     xi=ledger.xi,
                     defect_rate=rate,
                     accepted=False,
@@ -480,22 +507,28 @@ def run_adaptive(
             step = adaptive_solve_one_step(
                 model, shape, rho, t, config.time_tol, horizon=t_final, h_start=h_next
             )
-            proposed = rho + step.delta_rho
-            rate = model_space_defect(model, t + step.dt, proposed)
+            rate = model_space_defect(
+                model, t + step.dt, step.rho_next, step.last_stage
+            )
             d_xi = step.dt * rate
         # accepted
-        rho = proposed
+        rho = step.rho_next
+        stage = step.last_stage
         t += step.dt
         h_next = step.h_next
         ledger = xi_step(ledger, t, rate, step.dt)
         resize = "none"
-        shrunk = _try_shrink(shape, config)
+        threshold = budget(t) / config.downsize_factor
+        # the discarded tail is a trace norm (>= 0): no shrink can pass
+        # once xi alone reaches the threshold, so skip the projection
+        shrunk = _try_shrink(shape, config) if ledger.xi < threshold else None
         if shrunk is not None:
             restricted, tail = project(rho, shrunk)
-            if ledger.xi + tail < budget(t) / config.downsize_factor:
+            if ledger.xi + tail < threshold:
                 ledger = ledger.record(t, "shrink_jump", tail)
                 shape = shrunk
                 rho = restricted
+                stage = None
                 resize = "shrink"
         warning = _soft_state_checks(rho.matrix, t)
         if warning:

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from certilind.estimators import (
     EstimatorError,
     EstimatorLedger,
+    LedgerEntry,
     cosine_defect,
     defect_cat_closed_form,
     defect_drive_closed_form,
@@ -85,6 +87,25 @@ class TestLedger:
     def test_unknown_kind_rejected(self):
         with pytest.raises(EstimatorError):
             EstimatorLedger.empty().record(0.0, "bogus", 1.0)
+
+    def test_record_is_amortized_constant_and_snapshots_persist(self):
+        led = EstimatorLedger.empty()
+        start = time.perf_counter()
+        for i in range(30_000):
+            led = led.record(float(i), "space_defect", 1e-3)
+            if i == 99:
+                early = led
+        elapsed = time.perf_counter() - start
+        assert elapsed < 0.5, f"30,000 records took {elapsed:.2f} s"
+        assert len(led.entries) == 30_000
+        assert len(early.entries) == 100
+        assert early.xi == sum(e.value for e in early.entries)
+        # recording on the earlier snapshot branches off; neither changes
+        branch = early.record(100.0, "shrink_jump", 1.0)
+        assert len(early.entries) == 100
+        assert [e.kind for e in branch.entries[99:]] == ["space_defect", "shrink_jump"]
+        assert led.entries[100] == LedgerEntry(100.0, "space_defect", 1e-3)
+        assert isinstance(led.entries, tuple)
 
 
 class TestSpaceDefectGeneric:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from certilind.fockspace import (
     DenseOperator,
+    _as_fraction,
     Rect,
     ShapeError,
     WeightedTotal,
@@ -242,3 +243,9 @@ def test_weighted_dimension_matches_enumeration(num, den, cap):
     w = Fraction(num, den)
     shape = WeightedTotal([w], cap)
     assert dimension(shape) == sum(1 for k in range(200) if w * k <= cap)
+
+
+def test_decimal_float_becomes_its_decimal_fraction():
+    # not the exact binary value 3602879701896397/36028797018963968
+    assert _as_fraction(0.1) == Fraction(1, 10)
+    assert WeightedTotal([0.5, 1], 6) == WeightedTotal(["1/2", "1"], 6)

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from certilind import lindblad
 from certilind.fockspace import (
     DenseOperator,
     Rect,
     WeightedTotal,
     basis_map,
+    dimension,
     embed,
     project,
 )
@@ -107,6 +109,76 @@ class TestApplyTruncated:
         at1 = apply_truncated(model, math.pi / 2, op).matrix
         assert np.allclose(at0, 0.0)
         assert not np.allclose(at1, 0.0)
+
+
+def two_sided_generator(model, t, shape, sigma):
+    """L_N(sigma) with every product written out on both sides, from dense
+    truncations: the matrix form of ``lindblad_superoperator``."""
+    out = np.zeros_like(sigma)
+    for coeff, expr in model.hamiltonian:
+        h = truncated_expr(expr, shape).matrix
+        out += -1j * coeff(t) * (h @ sigma - sigma @ h)
+    for expr in model.dissipators:
+        g = truncated_expr(expr, shape).matrix
+        gdg = g.conj().T @ g
+        out += g @ sigma @ g.conj().T - 0.5 * (gdg @ sigma + sigma @ gdg)
+    return out
+
+
+def assert_close_rel(got, want, rtol=1e-12):
+    assert np.abs(got - want).max() <= rtol * np.abs(want).max()
+
+
+SIN = CoefficientFn(fn=math.sin, sup=1.0, dsup=1.0, label="sin(t)")
+
+
+class TestOneSidedApply:
+    """The generator takes every product from the left, which is exact on
+    Hermitian inputs only; these compare it with the two-sided forms."""
+
+    CASES = {
+        "squeezed_cat": (squeezed_cat_model(1.0, 1.25), Rect([9]), 0.0),
+        "cat_buffer": (cat_buffer_model(1.0), Rect([4, 3]), 0.0),
+        "time_dependent": (cat_buffer_model(drive=SIN), Rect([4, 3]), 0.7),
+        "gkp": (gkp_model(), Rect([14]), 0.0),
+        "cosine": (cosine_hamiltonian_model([0.5], [0.3]), Rect([12]), 0.0),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_dense_path_matches_superoperator(self, case):
+        model, shape, t = self.CASES[case]
+        rng = np.random.default_rng(19)
+        d = dimension(shape)
+        sigma = random_hermitian(rng, d)
+        got = apply_truncated(model, t, DenseOperator(shape, sigma)).matrix
+        sup = lindblad_superoperator(model, t, shape)
+        assert_close_rel(got, (sup @ sigma.reshape(-1)).reshape(d, d))
+
+    @pytest.mark.parametrize("case", ["cat_buffer", "time_dependent", "gkp"])
+    def test_sparse_factors_match_superoperator(self, case, monkeypatch):
+        # below the dimension threshold only by lowering it for this test
+        monkeypatch.setattr(lindblad, "SPARSE_DIM_THRESHOLD", 1)
+        model, shape, t = self.CASES[case]
+        gen = lindblad._ShapedGenerator(model, shape)
+        assert gen.use_sparse
+        rng = np.random.default_rng(23)
+        d = gen.dim
+        sigma = random_hermitian(rng, d)
+        sup = lindblad_superoperator(model, t, shape)
+        assert_close_rel(gen.apply(t, sigma), (sup @ sigma.reshape(-1)).reshape(d, d))
+
+    @pytest.mark.parametrize("drive", [None, SIN])
+    def test_sparse_path_at_threshold(self, drive):
+        # dimension 77: the superoperator would take 560 MB, so the
+        # reference is its matrix form
+        model = cat_buffer_model(1.0, drive=drive)
+        shape = Rect([10, 6])
+        rng = np.random.default_rng(29)
+        d = dimension(shape)
+        assert d >= lindblad.SPARSE_DIM_THRESHOLD
+        sigma = random_hermitian(rng, d)
+        got = apply_truncated(model, 0.7, DenseOperator(shape, sigma)).matrix
+        assert_close_rel(got, two_sided_generator(model, 0.7, shape, sigma))
 
 
 class TestApplyExactEmbedded:

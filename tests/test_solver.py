@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from certilind.fockspace import DenseOperator, Rect
+from certilind import estimators, lindblad, solver
+from certilind.fockspace import DenseOperator, Rect, dimension
 from certilind.lindblad import (
     CoefficientFn,
     LindbladModel,
+    grown_shape,
     lindblad_superoperator,
 )
 from certilind.models import (
+    cat_buffer_model,
     cat_model,
     linear_drive_model,
     number_drive_model,
@@ -156,6 +159,7 @@ class TestFixedSteppers:
             rho = rk4_stepper(model, i * t_final / n, rho, t_final / n)
         exact = expm_evolve(model, rho0, t_final)
         assert trace_norm(rho.matrix - exact) < 1e-9
+        assert np.array_equal(rho.matrix, rho.matrix.conj().T)
 
 
 class TestRunFixed:
@@ -264,6 +268,8 @@ class TestRunAdaptive:
         result = run_adaptive(model, rho0=fock_density(Rect([4]), [0]), config=config)
         assert any(not rec.accepted and rec.resize == "grow" for rec in result.trajectory)
         assert result.trajectory[-1].dim > 5
+        final = result.final.rho.matrix
+        assert np.array_equal(final, final.conj().T)
 
     def test_large_start_shrinks_with_certified_trace_loss(self):
         model = cat_model(1.0)
@@ -315,6 +321,76 @@ class TestRunAdaptive:
             assert ra == rb
         assert np.array_equal(a.final.rho.matrix, b.final.rho.matrix)
         assert a.xi == b.xi
+
+
+class TestFirstSameAsLast:
+    """One DP5 step reuses its last stage as the next step's first stage
+    and as L_N(rho) inside the defect."""
+
+    @pytest.mark.parametrize(
+        "model, shape, t_final",
+        [
+            (cat_model(1.0), Rect([10]), 0.3),
+            (cat_buffer_model(1.0), Rect([10, 6]), 0.05),
+        ],
+    )
+    def test_generator_applications(self, monkeypatch, model, shape, t_final):
+        applies = []  # dimension of every generator application, in order
+        attempts = []  # applications made inside each DP attempt
+        steps = []  # (applications, attempts) of each accepted step
+        defects = []  # (t, rho, applied, rate, applications) of each defect
+
+        apply = lindblad._ShapedGenerator.apply
+        attempt = solver._dp_attempt
+        one_step = solver.adaptive_solve_one_step
+        defect = estimators.model_space_defect
+
+        def counting_apply(gen, t, rho):
+            applies.append(gen.dim)
+            return apply(gen, t, rho)
+
+        def counting_attempt(*args):
+            before = len(applies)
+            out = attempt(*args)
+            attempts.append(applies[before:])
+            return out
+
+        def counting_step(*args, **kwargs):
+            before, tries = len(applies), len(attempts)
+            out = one_step(*args, **kwargs)
+            steps.append((applies[before:], len(attempts) - tries))
+            return out
+
+        def counting_defect(model_, t, rho, applied=None):
+            before = len(applies)
+            rate = defect(model_, t, rho, applied)
+            defects.append((t, rho, applied, rate, applies[before:]))
+            return rate
+
+        monkeypatch.setattr(lindblad._ShapedGenerator, "apply", counting_apply)
+        monkeypatch.setattr(solver, "_dp_attempt", counting_attempt)
+        monkeypatch.setattr(solver, "adaptive_solve_one_step", counting_step)
+        monkeypatch.setattr(solver, "model_space_defect", counting_defect)
+
+        config = SolverConfig(final_time=t_final, time_tol=1e-10)
+        rho0 = fock_density(shape, [0] * shape.mode_count)
+        result = run_fixed(model, rho0, shape, config)
+        d = dimension(shape)
+        d_big = dimension(grown_shape(model, shape))
+        assert len(steps) >= 3
+        assert all(calls == [d] * 6 for calls in attempts)
+        first_calls, first_tries = steps[0]
+        assert first_calls == [d] * (2 + 6 * first_tries)  # f0 and the step-size probe
+        for calls, tries in steps[1:]:
+            assert calls == [d] * (6 * tries)
+        assert len(defects) == len(steps)
+        for t, rho, applied, rate, calls in defects:
+            assert calls == [d_big]
+            assert applied is not None
+            assert np.array_equal(rho.matrix, rho.matrix.conj().T)
+            assert rate == defect(model, t, rho)
+        final = result.final.rho.matrix
+        assert np.array_equal(final, final.conj().T)
 
 
 class TestCsvWriters:
