@@ -12,16 +12,9 @@ from .estimators import (
     EstimatorLedger,
     LedgerEntry,
     cosine_defect,
-    defect_cat_closed_form,
-    defect_drive_closed_form,
-    dissipator_defect_blocks,
     euler_timedep_step_bound,
-    gkp_defect_bound,
-    global_time_bound,
     model_space_defect,
-    space_defect_generic,
     taylor_step_bound,
-    unitary_dissipator_bound,
     unitary_offblock_norm,
     xi_step,
 )
@@ -35,7 +28,6 @@ from .fockspace import (
     basis_map,
     contains,
     dimension,
-    discarded_tail_norm,
     embed,
     grow,
     project,
@@ -49,31 +41,21 @@ from .lindblad import (
     LindbladModel,
     ModelError,
     PolyExpr,
-    apply_exact_embedded,
     apply_truncated,
     growth_margin,
-    lindblad_superoperator,
-    tensor_assemble,
     truncated_expr,
-    validate_state,
 )
 from .modelfile import ModelFile, ModelFileError, load_state_json, dump_state_json
 from .operators import (
-    DisplacementQ,
     OperatorError,
     PolyOperator,
-    Rotation,
-    UnitarySpec,
     cosine_of,
-    creation,
     displacement_q,
     fock_density,
     herm_part,
     ladder,
     materialize_poly,
-    rotation,
     trace_norm,
-    truncated_unitary,
 )
 from .solver import (
     CertificationError,

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable
 
 import numpy as np
 
@@ -20,23 +19,26 @@ from .fockspace import (
     DenseOperator,
     TruncationShape,
     _complement_indices,
+    _embed_array,
     _embedding_indices,
     basis_map,
-    contains,
     dimension,
 )
 from .lindblad import (
+    CoefficientFn,
     LindbladModel,
     ModelError,
+    _gkp_q_poly,
+    _hermitian_part,
     grown_shape,
     shaped_generator,
-    truncated_expr,
 )
 from .operators import (
     PolyOperator,
     _grow_by_margin,
     cosine_unitary_pair,
     displacement_block,
+    displacement_q,
     materialize_poly,
 )
 
@@ -46,18 +48,11 @@ __all__ = [
     "EstimatorError",
     "LEDGER_KINDS",
     "xi_step",
-    "space_defect_generic",
     "model_space_defect",
-    "defect_drive_closed_form",
-    "defect_cat_closed_form",
-    "dissipator_defect_blocks",
     "unitary_offblock_norm",
-    "unitary_dissipator_bound",
-    "gkp_defect_bound",
     "cosine_defect",
     "taylor_step_bound",
     "euler_timedep_step_bound",
-    "global_time_bound",
     "tr_sqrt_psd",
 ]
 
@@ -138,10 +133,6 @@ def xi_step(
     return ledger.record(t_new, "space_defect", dt * float(defect_at_new_state))
 
 
-def global_time_bound(per_step_bounds: Iterable[float]) -> float:
-    return float(sum(per_step_bounds))
-
-
 # ---------------------------------------------------------------------------
 # PSD square-root traces and structured Hermitian trace norms
 # ---------------------------------------------------------------------------
@@ -216,9 +207,7 @@ class _DefectContext:
         already holds it, so that only the grown-shape generator runs."""
         if self.perp.size == 0:
             return 0.0
-        emb = np.zeros((self.dim_big, self.dim_big), dtype=np.complex128)
-        emb[np.ix_(self.pos, self.pos)] = rho
-        delta = self.gen_big.apply(t, emb)
+        delta = self.gen_big.apply(t, _embed_array(rho, self.pos, self.dim_big))
         if applied is None:
             applied = self.gen_small.apply(t, rho)
         delta[np.ix_(self.pos, self.pos)] -= applied
@@ -230,23 +219,6 @@ def _defect_context(model: LindbladModel, shape: TruncationShape) -> _DefectCont
     return _DefectContext(model, shape)
 
 
-def space_defect_generic(
-    model: LindbladModel,
-    t: float,
-    rho: DenseOperator,
-    applied: np.ndarray | None = None,
-) -> float:
-    """||(L - L_N) rho||_1 computed exactly on the margin-grown shape.
-
-    ``applied``, when given, is L_N(t, rho) as already computed (for
-    instance the last stage of the time step that produced rho).
-    """
-    if model.kind != "poly":
-        raise ModelError("generic space defect requires a polynomial model")
-    ctx = _defect_context(model, rho.shape)
-    return ctx.defect(t, np.asarray(rho.matrix), applied)
-
-
 def model_space_defect(
     model: LindbladModel,
     t: float,
@@ -255,119 +227,27 @@ def model_space_defect(
 ) -> float:
     """Certified bound on ||(L - L_N) rho||_1 for any supported model kind.
 
-    ``applied`` is an already computed L_N(t, rho); the polynomial route
-    reuses it, the GKP and cosine routes do not need it.
+    Polynomial models get the exact value, computed on the margin-grown
+    shape; ``applied``, when given, is L_N(t, rho) as already computed
+    (for instance the last stage of the time step that produced rho), so
+    that only the grown-shape generator runs.  The GKP and cosine routes
+    do not need it.
     """
+    mat = np.asarray(rho.matrix)
     if model.kind == "poly":
-        return space_defect_generic(model, t, rho, applied)
+        return _defect_context(model, rho.shape).defect(t, mat, applied)
+    total = 0.0
     if model.kind == "gkp":
-        total = 0.0
+        # each rotated dissipator: the base-sector functional of the
+        # rotated state
         for diss in model.dissipators:
-            total += _gkp_sector_defect(
-                diss.amplitude, diss.eta, diss.eps, diss.sector, rho
-            )
+            ctx = _gkp_context(diss.amplitude, diss.eta, diss.eps, rho.shape)
+            total += ctx.sector_defect(mat, diss.sector)
         return total
     # cosine Hamiltonian terms: commutator bound 2 |u| ||(cos O - (cos O)_N) rho||
-    total = 0.0
     for coeff, expr in model.hamiltonian:
         total += 2.0 * abs(coeff(t)) * cosine_defect(expr.arg, rho)
     return total
-
-
-# ---------------------------------------------------------------------------
-# closed forms for the drive and cat models
-# ---------------------------------------------------------------------------
-
-
-def _last_two_indices(rho: DenseOperator) -> tuple[int, int]:
-    if rho.shape.mode_count != 1:
-        raise EstimatorError("closed form requires a single-mode shape")
-    d = rho.dim
-    return d - 1, d - 2
-
-
-def defect_drive_closed_form(u_val: float, rho: DenseOperator) -> float:
-    """||[H - H_N, rho]||_1 for H = u (a + a^dag): rank-one tail formula
-    2|u| sqrt(N+1) sqrt(<N| rho^2 |N>)."""
-    idx_n, _ = _last_two_indices(rho)
-    n = idx_n
-    col = rho.matrix[:, idx_n]
-    row_norm_sq = float(np.vdot(col, col).real)
-    return 2.0 * abs(u_val) * math.sqrt(n + 1.0) * math.sqrt(max(row_norm_sq, 0.0))
-
-
-def defect_cat_closed_form(alpha: float, rho: DenseOperator) -> float:
-    """||(D_Gamma - D_Gamma_N) rho||_1 for Gamma = a^2 - alpha^2.
-
-    The defect is block-anti-diagonal with off block
-    B = (alpha^2/2)(c2 |N+2><N| + c1 |N+1><N-1|) rho, so its norm is
-    twice the trace norm of B, evaluated through the 2x2 Gram matrix of
-    the two scaled rows of rho.
-    """
-    idx_n, idx_nm1 = _last_two_indices(rho)
-    n = idx_n
-    mat = rho.matrix
-    col_n = mat[:, idx_n]
-    r00 = float(np.vdot(col_n, col_n).real)
-    if n >= 1:
-        col_m = mat[:, idx_nm1]
-        r11 = float(np.vdot(col_m, col_m).real)
-        r10 = complex(np.vdot(col_m, col_n))
-    else:
-        r11, r10 = 0.0, 0.0
-    gram = np.array(
-        [
-            [n * r11, math.sqrt(n * (n + 2.0)) * r10],
-            [math.sqrt(n * (n + 2.0)) * np.conj(r10), (n + 2.0) * r00],
-        ],
-        dtype=np.complex128,
-    )
-    eigs = np.clip(np.linalg.eigvalsh(gram), 0.0, None)
-    return alpha**2 * math.sqrt(n + 1.0) * float(np.sqrt(eigs).sum())
-
-
-# ---------------------------------------------------------------------------
-# block decomposition for generic polynomial dissipators
-# ---------------------------------------------------------------------------
-
-
-def dissipator_defect_blocks(gamma: PolyOperator, rho: DenseOperator) -> float:
-    """||(D_Gamma - D_Gamma_N) rho||_1 from the 2x2 block form.
-
-    Assembled from d = (Gamma - Gamma_N) P_N, g = Gamma_N^dag (Gamma -
-    Gamma_N) and k = P_perp (Gamma - Gamma_N)^dag (Gamma - Gamma_N) P_N,
-    all realized exactly on the shape grown by twice the per-mode degree.
-    """
-    shape = rho.shape
-    margin = tuple(2 * d for d in gamma.per_mode_degree())
-    big = _grow_by_margin(shape, margin)
-    pos = _embedding_indices(shape, big)
-    perp = _complement_indices(shape, big)
-    nbig = dimension(big)
-
-    gamma_big = materialize_poly(gamma, big).matrix
-    gamma_n = np.zeros_like(gamma_big)
-    gamma_n[np.ix_(pos, pos)] = materialize_poly(gamma, shape).matrix
-
-    diff = gamma_big - gamma_n
-    d = diff.copy()
-    if perp.size:
-        d[:, perp] = 0.0  # (Gamma - Gamma_N) P_N
-    g = gamma_n.conj().T @ diff
-    k = diff.conj().T @ d
-    if pos.size:
-        k[pos, :] = 0.0  # P_perp projection on the left
-
-    emb = np.zeros((nbig, nbig), dtype=np.complex128)
-    emb[np.ix_(pos, pos)] = rho.matrix
-
-    ddag = d.conj().T
-    defect = d @ emb @ ddag
-    defect += gamma_n @ emb @ ddag
-    defect += d @ emb @ gamma_n.conj().T
-    defect -= 0.5 * (k @ emb + ddag @ (d @ emb) + g.conj().T @ emb)
-    defect -= 0.5 * (emb @ k.conj().T + (emb @ ddag) @ d + emb @ g)
-    return _structured_defect_norm(defect, pos, perp)
 
 
 # ---------------------------------------------------------------------------
@@ -375,47 +255,22 @@ def dissipator_defect_blocks(gamma: PolyOperator, rho: DenseOperator) -> float:
 # ---------------------------------------------------------------------------
 
 
-def unitary_offblock_norm(
-    u_small: DenseOperator, m: DenseOperator, shape_small: TruncationShape
-) -> float:
-    """||P_small_perp U M||_1 for U exactly truncated to M's shape.
+def unitary_offblock_norm(u: np.ndarray, m: np.ndarray, rows=None) -> float:
+    """Bound on ||P_perp U M||_1 for ``u`` the exact truncation of a
+    unitary U to a shape S and ``m`` an operator on S.
 
-    Uses the norm identity plus the norm of the between-shapes rows when
-    shape_small is strictly inside the operator shape.
+    P projects onto S, or, with ``rows``, onto the sub-shape of S whose
+    complement in S those row indices select.  The part of U M beyond S
+    has the trace norm tr sqrt(M^dag (Id - u^dag u) M), by the
+    truncated-unitary norm identity; the selected rows of u M add their
+    own by the triangle inequality, so the value is exact without
+    ``rows``.
     """
-    shape_big = u_small.shape
-    if m.shape != shape_big:
-        raise EstimatorError("operand must live on the unitary's shape")
-    if not contains(shape_small, shape_big):
-        raise EstimatorError("shape_small must be contained in the operator shape")
-    mm = m.matrix
-    uu = u_small.matrix
-    radicand = mm.conj().T @ (np.eye(mm.shape[0]) - uu.conj().T @ uu) @ mm
+    radicand = m.conj().T @ (np.eye(m.shape[0]) - u.conj().T @ u) @ m
     total = tr_sqrt_psd(radicand)
-    if shape_small != shape_big:
-        between = _complement_indices(shape_small, shape_big)
-        rows = (uu @ mm)[between, :]
-        total += float(np.linalg.svd(rows, compute_uv=False).sum())
+    if rows is not None:
+        total += float(np.linalg.svd((u @ m)[rows, :], compute_uv=False).sum())
     return total
-
-
-def unitary_dissipator_bound(u_n: DenseOperator, rho: DenseOperator) -> float:
-    """Upper bound on ||(D_U - D_U_N) rho||_1 for a truncated unitary.
-
-    2 ||(Id - U_N^dag U_N) rho||_1 + 2 ||P_perp U rho U_N^dag||_1
-    + tr(rho) - tr(U_N rho U_N^dag); the middle term carries the factor
-    two of the two equal cross blocks.
-    """
-    if u_n.shape != rho.shape:
-        raise EstimatorError("unitary and state must share a shape")
-    uu = u_n.matrix
-    rr = rho.matrix
-    kmat = np.eye(uu.shape[0]) - uu.conj().T @ uu
-    term1 = 2.0 * float(np.linalg.svd(kmat @ rr, compute_uv=False).sum())
-    m = rr @ uu.conj().T
-    term2 = 2.0 * tr_sqrt_psd(m.conj().T @ kmat @ m)
-    term3 = float(np.trace(rr).real - np.trace(uu @ rr @ uu.conj().T).real)
-    return term1 + term2 + max(term3, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -430,26 +285,22 @@ class _GkpContext:
     def __init__(self, amplitude: float, eta: float, eps: float, shape: TruncationShape):
         if shape.mode_count != 1:
             raise EstimatorError("GKP bound requires a single-mode shape")
-        self.shape = shape
         g1 = _grow_by_margin(shape, (1,))
         g2 = _grow_by_margin(shape, (2,))
         self.dim = dimension(shape)
         self.dim2 = dimension(g2)
-        occ2 = basis_map(g2).occupations(0)
-        self.pos_g1 = _embedding_indices(g1, g2)
-        kmax = int(occ2.max())
-        beta = 1j * eta / math.sqrt(2.0)
-        table = displacement_block(kmax + 1, kmax + 1, beta)
-        self.u2 = table[np.ix_(occ2, occ2)]  # exact truncation to g2
+        self.pos = _embedding_indices(shape, g2)
+        self.beyond = slice(self.dim, None)  # rows of g1 outside the shape
+        pos_g1 = _embedding_indices(g1, g2)
+        self.g1 = np.ix_(pos_g1, pos_g1)
+        self.u2 = displacement_q(g2, eta).matrix  # exact truncation to g2
+        self.w1 = self.u2[self.g1]  # U_(N+1)
+        self.w1_dag = self.u2.conj().T[self.g1]
         u1 = np.zeros_like(self.u2)
-        sub = np.ix_(self.pos_g1, self.pos_g1)
-        u1[sub] = self.u2[sub]
-        self.u1 = u1  # U_(N+1) embedded in g2
-        q_poly = amplitude * (
-            PolyOperator.identity(1) - eps * PolyOperator.momentum(1, 0)
-        )
+        u1[self.g1] = self.w1  # U_(N+1) embedded in g2
+        q_poly = _gkp_q_poly(amplitude, eps)
         self.q = materialize_poly(q_poly, g2).matrix
-        self.qdq = materialize_poly(q_poly.dag() * q_poly, g2).matrix
+        qdq = materialize_poly(q_poly.dag() * q_poly, g2).matrix
         # BCH companion (Id - eps p - eps eta q), without the amplitude
         v_poly = (
             PolyOperator.identity(1)
@@ -458,36 +309,21 @@ class _GkpContext:
         )
         self.v = materialize_poly(v_poly, g2).matrix
         self.amplitude = amplitude
-        occ_n = basis_map(shape).occupations(0)
-        self.rot_phase = np.power(1j, occ_n % 4)
-        self.n_count = dimension(shape)
+        self.rot_phase = np.power(1j, basis_map(shape).occupations(0) % 4)
         # state-independent kernel of the Q^dag Q mismatch term
-        uq = self.u1 @ self.q
-        uq[:, self.n_count :] = 0.0  # U_(N+1) Q P_N
+        uq = u1 @ self.q
+        uq[:, self.dim :] = 0.0  # U_(N+1) Q P_N
         s2 = uq.copy()
-        s2[self.n_count :, :] = 0.0  # P_N U Q P_N
-        z = self.q.conj().T @ (self.u1.conj().T @ s2)
-        z[self.n_count :, :] = 0.0  # leading P_N
-        self.a2_kernel = self.qdq - z
-
-    def _offblock_norm_from_g1(self, m_g2: np.ndarray, unitary: np.ndarray) -> float:
-        """||P_N_perp W M||_1 for M supported on g1 and W with exact
-        truncation ``unitary`` (g2-embedded, g1-supported)."""
-        sub = np.ix_(self.pos_g1, self.pos_g1)
-        m1 = m_g2[sub]
-        w1 = unitary[sub]
-        k1 = np.eye(m1.shape[0]) - w1.conj().T @ w1
-        term = tr_sqrt_psd(m1.conj().T @ k1 @ m1)
-        rows = (w1 @ m1)[self.n_count :, :]
-        term += float(np.linalg.svd(rows, compute_uv=False).sum())
-        return term
+        s2[self.dim :, :] = 0.0  # P_N U Q P_N
+        z = self.q.conj().T @ (u1.conj().T @ s2)
+        z[self.dim :, :] = 0.0  # leading P_N
+        self.a2_kernel = qdq - z
 
     def sector_defect(self, rho: np.ndarray, sector: int) -> float:
         if sector % 4:
             r = self.rot_phase ** (sector % 4)
             rho = (r.conj()[:, None] * rho) * r[None, :]
-        emb = np.zeros((self.dim2, self.dim2), dtype=np.complex128)
-        emb[: self.dim, : self.dim] = rho
+        emb = _embed_array(rho, self.pos, self.dim2)
 
         x = self.q @ emb @ self.q.conj().T  # Q rho Q^dag, exact, on g1
         uxu = self.u2 @ x @ self.u2.conj().T
@@ -496,17 +332,21 @@ class _GkpContext:
         )
         t1 = max(t1, 0.0)
 
+        # the off-block terms ||P_N_perp W M||_1 have M supported on g1,
+        # where U_(N+1) is the exact truncation of W
         m_cross = x @ self.u2.conj().T
         m_cross[:, self.dim :] = 0.0  # right factor U^dag P_N
-        t2 = 2.0 * self._offblock_norm_from_g1(m_cross, self.u2)
+        t2 = 2.0 * unitary_offblock_norm(self.w1, m_cross[self.g1], self.beyond)
 
         t3 = float(np.linalg.svd(self.a2_kernel @ emb, compute_uv=False).sum())
 
         m_uq = self.q @ emb  # Q rho, exact, on g1
-        t4 = self._offblock_norm_from_g1(m_uq, self.u2)
+        t4 = unitary_offblock_norm(self.w1, m_uq[self.g1], self.beyond)
 
         m_v = self.v @ emb
-        t5 = self.amplitude * self._offblock_norm_from_g1(m_v, self.u2.conj().T)
+        t5 = self.amplitude * unitary_offblock_norm(
+            self.w1_dag, m_v[self.g1], self.beyond
+        )
 
         return t1 + t2 + t3 + t4 + t5
 
@@ -516,24 +356,6 @@ def _gkp_context(
     amplitude: float, eta: float, eps: float, shape: TruncationShape
 ) -> _GkpContext:
     return _GkpContext(amplitude, eta, eps, shape)
-
-
-def _gkp_sector_defect(
-    amplitude: float, eta: float, eps: float, sector: int, rho: DenseOperator
-) -> float:
-    ctx = _gkp_context(amplitude, eta, eps, rho.shape)
-    return ctx.sector_defect(np.asarray(rho.matrix), sector)
-
-
-def gkp_defect_bound(
-    amplitude: float, eta: float, eps: float, rho: DenseOperator
-) -> float:
-    """Bound on ||(L - L_N) rho||_1 for the four rotated stabilizer
-    dissipators: sum over sectors of the base-sector functional applied
-    to the rotated state."""
-    return sum(
-        _gkp_sector_defect(amplitude, eta, eps, k, rho) for k in range(4)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -615,12 +437,6 @@ def cosine_defect(arg: PolyOperator, rho: DenseOperator) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _embedded(rho: np.ndarray, pos: np.ndarray, dim_big: int) -> np.ndarray:
-    out = np.zeros((dim_big, dim_big), dtype=np.complex128)
-    out[np.ix_(pos, pos)] = rho
-    return out
-
-
 def taylor_step_bound(
     model: LindbladModel, rho: DenseOperator, dt: float, k: int
 ) -> float:
@@ -642,7 +458,7 @@ def taylor_step_bound(
     gen_small = shaped_generator(model, shape)
 
     mismatch = np.zeros((dim_big, dim_big), dtype=np.complex128)
-    iter_full = _embedded(np.asarray(rho.matrix), pos, dim_big)
+    iter_full = _embed_array(np.asarray(rho.matrix), pos, dim_big)
     iter_trunc = np.asarray(rho.matrix)
     fact = 1.0
     for j in range(1, k + 1):
@@ -658,25 +474,25 @@ def taylor_step_bound(
     return term1 + term2
 
 
-def _per_term_generators(model: LindbladModel, shape: TruncationShape):
-    """Materialized single-term applications on one shape."""
-    terms = []
-    for coeff, expr in model.hamiltonian:
-        h = truncated_expr(expr, shape).matrix
-
-        def ham_apply(rho, h=h):
-            return -1j * (h @ rho - rho @ h)
-
-        terms.append(("ham", coeff, ham_apply))
-    for expr in model.dissipators:
-        g = truncated_expr(expr, shape).matrix
-        gdg = g.conj().T @ g
-
-        def diss_apply(rho, g=g, gdg=gdg):
-            return g @ rho @ g.conj().T - 0.5 * (gdg @ rho + rho @ gdg)
-
-        terms.append(("diss", None, diss_apply))
-    return terms
+@lru_cache(maxsize=64)
+def _euler_sub_models(model: LindbladModel):
+    """The model split for the Euler bound: each time-dependent
+    Hamiltonian term as its own model with a unit coefficient, paired
+    with that coefficient, and one model of all time-invariant terms.
+    Cached, so that ``shaped_generator`` builds each sub-model's
+    generator once per shape."""
+    unit = CoefficientFn.constant(1.0)
+    varying = tuple(
+        (coeff, LindbladModel(model.mode_count, hamiltonian=((unit, expr),)))
+        for coeff, expr in model.hamiltonian
+        if not coeff.is_constant
+    )
+    invariant = LindbladModel(
+        model.mode_count,
+        hamiltonian=[(c, e) for c, e in model.hamiltonian if c.is_constant],
+        dissipators=model.dissipators,
+    )
+    return varying, invariant
 
 
 def euler_timedep_step_bound(
@@ -703,33 +519,26 @@ def euler_timedep_step_bound(
     shape = rho.shape
     big = grown_shape(model, shape, factor=2)
     pos = _embedding_indices(shape, big)
-    dim_big = dimension(big)
-    emb = _embedded(np.asarray(rho.matrix), pos, dim_big)
-    terms = _per_term_generators(model, big)
+    emb = _embed_array(np.asarray(rho.matrix), pos, dimension(big))
+    varying, invariant = _euler_sub_models(model)
+    varying = [(coeff, shaped_generator(sub, big)) for coeff, sub in varying]
 
     drift = 0.0
-    for kind, coeff, apply_one in terms:
-        if kind != "ham" or coeff.is_constant:
-            continue
-        drift += coeff.dsup * _hermitian_trace_norm(apply_one(emb))
+    for coeff, gen in varying:
+        drift += coeff.dsup * _hermitian_trace_norm(gen.apply(t_n, emb))
     term1 = dt**2 * drift
 
-    gen_big = shaped_generator(model, big)
-    m = gen_big.apply(t_n, emb)  # L(t_n, rho), exact
+    # L(t_n, rho), exact; its Hermitian part, because the generators
+    # below take their products from one side
+    m = _hermitian_part(shaped_generator(model, big).apply(t_n, emb))
     # sup_s ||L(s, M)||: the time-invariant part is a single exact norm,
     # time-dependent terms enter through their declared sup bounds
-    const_part = np.zeros_like(m)
     second = 0.0
-    for kind, coeff, apply_one in terms:
-        if kind == "diss":
-            const_part += apply_one(m)
-        elif coeff.is_constant:
-            if coeff.const_value != 0.0:
-                const_part += coeff.const_value * apply_one(m)
-        elif coeff.sup != 0.0:
-            second += coeff.sup * _hermitian_trace_norm(apply_one(m))
-    second += _hermitian_trace_norm(const_part)
+    for coeff, gen in varying:
+        if coeff.sup != 0.0:
+            second += coeff.sup * _hermitian_trace_norm(gen.apply(t_n, m))
+    second += _hermitian_trace_norm(shaped_generator(invariant, big).apply(t_n, m))
     term2 = 0.5 * dt**2 * second
 
-    term3 = dt * space_defect_generic(model, t_n, rho)
+    term3 = dt * model_space_defect(model, t_n, rho)
     return term1 + term2 + term3

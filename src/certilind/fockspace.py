@@ -24,12 +24,10 @@ __all__ = [
     "DenseOperator",
     "ShapeError",
     "dimension",
-    "mode_count",
     "basis_map",
     "contains",
     "embed",
     "project",
-    "discarded_tail_norm",
     "grow",
     "shrink",
 ]
@@ -108,10 +106,6 @@ class WeightedTotal:
 
 
 TruncationShape = Union[Rect, WeightedTotal]
-
-
-def mode_count(shape: TruncationShape) -> int:
-    return shape.mode_count
 
 
 def _enumerate_states(shape: TruncationShape) -> list[tuple[int, ...]]:
@@ -280,14 +274,19 @@ class DenseOperator:
         return DenseOperator(self.shape, self.matrix @ other.matrix)
 
 
+def _embed_array(mat: np.ndarray, pos: np.ndarray, dim: int) -> np.ndarray:
+    """``mat`` placed at rows and columns ``pos`` of a zero dim x dim matrix."""
+    out = np.zeros((dim, dim), dtype=np.complex128)
+    out[np.ix_(pos, pos)] = mat
+    return out
+
+
 def embed(op: DenseOperator, shape_big: TruncationShape) -> DenseOperator:
     """Copy matrix elements to the matching multi-indices of a larger shape."""
     if op.shape == shape_big:
         return op
     idx = _embedding_indices(op.shape, shape_big)
-    out = np.zeros((dimension(shape_big),) * 2, dtype=np.complex128)
-    out[np.ix_(idx, idx)] = op.matrix
-    return DenseOperator(shape_big, out)
+    return DenseOperator(shape_big, _embed_array(op.matrix, idx, dimension(shape_big)))
 
 
 def project(
@@ -309,28 +308,24 @@ def project(
     return DenseOperator(shape_small, sub), nrm
 
 
-def discarded_tail_norm(op: DenseOperator, shape_small: TruncationShape) -> float:
-    """||M - P M P||_1 without building the restricted operator."""
-    return project(op, shape_small)[1]
-
-
-def _grow_caps(caps: tuple[int, ...], step) -> tuple[int, ...]:
+def _step_vector(shape: Rect, step) -> tuple[int, ...]:
+    """Per-mode increments of a grow or shrink step on a Rect: one per
+    mode, or a scalar applied to every mode."""
     if isinstance(step, Iterable) and not isinstance(step, (str, bytes)):
         inc = tuple(int(s) for s in step)
-        if len(inc) != len(caps):
+        if len(inc) != len(shape.caps):
             raise ShapeError("per-mode step length does not match mode count")
-    else:
-        inc = (int(step),) * len(caps)
-    return tuple(c + s for c, s in zip(caps, inc))
+        return inc
+    return (int(step),) * len(shape.caps)
 
 
 def grow(shape: TruncationShape, step) -> TruncationShape:
     """Enlarge a shape: Rect adds a per-mode increment, WeightedTotal raises the cap."""
     if isinstance(shape, Rect):
-        new_caps = _grow_caps(shape.caps, step)
-        if any(n < o for n, o in zip(new_caps, shape.caps)):
+        inc = _step_vector(shape, step)
+        if any(s < 0 for s in inc):
             raise ShapeError("grow step must be non-negative")
-        return Rect(new_caps)
+        return Rect([c + s for c, s in zip(shape.caps, inc)])
     inc = _as_fraction(step)
     if inc < 0:
         raise ShapeError("grow step must be non-negative")
@@ -340,12 +335,7 @@ def grow(shape: TruncationShape, step) -> TruncationShape:
 def shrink(shape: TruncationShape, step) -> TruncationShape:
     """Mirror of grow; errors if any cap would become negative."""
     if isinstance(shape, Rect):
-        if isinstance(step, Iterable) and not isinstance(step, (str, bytes)):
-            inc = tuple(int(s) for s in step)
-            if len(inc) != len(shape.caps):
-                raise ShapeError("per-mode step length does not match mode count")
-        else:
-            inc = (int(step),) * len(shape.caps)
+        inc = _step_vector(shape, step)
         new_caps = tuple(c - s for c, s in zip(shape.caps, inc))
         if any(c < 0 for c in new_caps):
             raise ShapeError(f"shrink would drop a cap below zero: {new_caps}")

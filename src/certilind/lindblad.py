@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence, Union
+from typing import Callable, Union
 
 import numpy as np
 from scipy import sparse
@@ -24,16 +24,16 @@ from scipy import sparse
 from .fockspace import (
     DenseOperator,
     TruncationShape,
+    _embedding_indices,
     basis_map,
     dimension,
-    embed,
     grow,
 )
 from .operators import (
     PolyOperator,
+    _displacement_table,
     _grow_by_margin,
     cosine_of,
-    displacement_block,
     materialize_poly,
 )
 
@@ -49,11 +49,7 @@ __all__ = [
     "growth_margin",
     "grown_shape",
     "apply_truncated",
-    "apply_exact_embedded",
-    "tensor_assemble",
     "truncated_expr",
-    "lindblad_superoperator",
-    "validate_state",
 ]
 
 SPARSE_DIM_THRESHOLD = 64
@@ -184,25 +180,6 @@ class DensityState:
     time: float = 0.0
 
 
-def validate_state(state: DensityState, certified_trace: float = 1.0) -> list[str]:
-    """Soft invariant checks; returns warning strings, never mutates."""
-    msgs = []
-    mat = state.rho.matrix
-    scale = max(float(np.linalg.norm(mat)), 1e-30)
-    herm_defect = float(np.linalg.norm(mat - mat.conj().T)) / scale
-    if herm_defect > 1e-10:
-        msgs.append(f"hermiticity defect {herm_defect:.2e} at t={state.time}")
-    tr = float(np.trace(mat).real)
-    if abs(tr - certified_trace) > 1e-8:
-        msgs.append(
-            f"trace {tr!r} deviates from certified value {certified_trace!r}"
-        )
-    eigmin = float(np.linalg.eigvalsh(0.5 * (mat + mat.conj().T)).min())
-    if eigmin < -1e-8:
-        msgs.append(f"negative eigenvalue {eigmin:.2e} at t={state.time}")
-    return msgs
-
-
 # ---------------------------------------------------------------------------
 # growth margins
 # ---------------------------------------------------------------------------
@@ -256,14 +233,6 @@ def _single_mode_caps(shape: TruncationShape) -> np.ndarray:
     return basis_map(shape).occupations(0)
 
 
-def _displacement_rows_cols(
-    occ_rows: np.ndarray, occ_cols: np.ndarray, eta: float
-) -> np.ndarray:
-    kr, kc = int(occ_rows.max()), int(occ_cols.max())
-    table = displacement_block(kr + 1, kc + 1, 1j * eta / math.sqrt(2.0))
-    return table[np.ix_(occ_rows, occ_cols)]
-
-
 @lru_cache(maxsize=256)
 def _gkp_truncated_gamma(
     amplitude: float, eta: float, eps: float, sector: int, shape: TruncationShape
@@ -273,10 +242,10 @@ def _gkp_truncated_gamma(
     occ = _single_mode_caps(shape)
     big = grow(shape, 1)
     occ_big = basis_map(big).occupations(0)
-    u_block = _displacement_rows_cols(occ, occ_big, eta)  # P U P_(N+1)
+    beta = 1j * eta / math.sqrt(2.0)
+    u_block = _displacement_table(occ, occ_big, beta)  # P U P_(N+1)
     q_big = materialize_poly(_gkp_q_poly(amplitude, eps), big).matrix
-    idx = [basis_map(big).index[s] for s in basis_map(shape).states]
-    uq = u_block @ q_big[:, idx]  # P U Q P, exact
+    uq = u_block @ q_big[:, _embedding_indices(shape, big)]  # P U Q P, exact
     gamma0 = uq - np.eye(len(occ))
     if sector % 4:
         r = np.power(1j, (sector * occ) % 4)
@@ -307,6 +276,14 @@ def _diagonal_of(mat: np.ndarray) -> np.ndarray | None:
     if np.count_nonzero(mat - np.diag(diag)) == 0:
         return diag.copy()
     return None
+
+
+def _hermitian_part(mat: np.ndarray) -> np.ndarray:
+    """(mat + mat^dag) / 2, exactly Hermitian: the input the generator's
+    one-sided products need."""
+    out = mat + mat.conj().T
+    out *= 0.5
+    return out
 
 
 def _adjoint(mat: np.ndarray) -> np.ndarray:
@@ -410,61 +387,3 @@ def apply_truncated(
     ``_ShapedGenerator.apply``)."""
     gen = shaped_generator(model, rho.shape)
     return DenseOperator(rho.shape, gen.apply(t, np.asarray(rho.matrix)))
-
-
-def apply_exact_embedded(
-    model: LindbladModel, t: float, rho: DenseOperator
-) -> DenseOperator:
-    """L(rho) represented exactly on the margin-grown shape."""
-    big = grown_shape(model, rho.shape)
-    return apply_truncated(model, t, embed(rho, big))
-
-
-def tensor_assemble(models: Sequence[LindbladModel]) -> LindbladModel:
-    """Concatenate models over disjoint mode blocks into one multi-mode model.
-
-    Polynomial letters are re-indexed by the cumulative mode offset;
-    Hamiltonian terms and jump operators are concatenated in order.
-    """
-    models = list(models)
-    if not models:
-        raise ModelError("nothing to assemble")
-    if len(models) == 1:
-        return models[0]
-    total = sum(m.mode_count for m in models)
-    ham = []
-    diss = []
-    params = []
-    offset = 0
-    for m in models:
-        if m.kind != "poly":
-            raise ModelError("tensor_assemble supports polynomial models only")
-        for coeff, expr in m.hamiltonian:
-            ham.append((coeff, PolyExpr(expr.poly.shift_modes(offset, total))))
-        for expr in m.dissipators:
-            diss.append(PolyExpr(expr.poly.shift_modes(offset, total)))
-        params.extend(m.parameters)
-        offset += m.mode_count
-    return LindbladModel(total, ham, diss, tuple(params))
-
-
-def lindblad_superoperator(
-    model: LindbladModel, t: float, shape: TruncationShape
-) -> np.ndarray:
-    """Dense superoperator matrix of L_N for row-major vectorization.
-
-    Desk-scale only; used by oracles and the contraction checks.
-    """
-    d = dimension(shape)
-    eye = np.eye(d)
-    sup = np.zeros((d * d, d * d), dtype=np.complex128)
-    for coeff, expr in model.hamiltonian:
-        h = truncated_expr(expr, shape).matrix
-        u = coeff(t)
-        sup += -1j * u * (np.kron(h, eye) - np.kron(eye, h.T))
-    for expr in model.dissipators:
-        g = truncated_expr(expr, shape).matrix
-        gdg = g.conj().T @ g
-        sup += np.kron(g, g.conj())
-        sup -= 0.5 * (np.kron(gdg, eye) + np.kron(eye, gdg.T))
-    return sup

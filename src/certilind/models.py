@@ -1,4 +1,7 @@
-"""Canonical model constructors used by the presets and the test suite."""
+"""Canonical model constructors for use from Python and by the tests.
+
+The presets describe their models as JSON model files instead.
+"""
 
 from __future__ import annotations
 

@@ -32,17 +32,11 @@ from .fockspace import (
 
 __all__ = [
     "PolyOperator",
-    "DisplacementQ",
-    "Rotation",
-    "UnitarySpec",
     "OperatorError",
     "ladder",
-    "creation",
     "materialize_poly",
     "displacement_q",
     "displacement_block",
-    "rotation",
-    "truncated_unitary",
     "trace_norm",
     "herm_part",
     "cosine_of",
@@ -145,12 +139,6 @@ class PolyOperator:
         ]
         return PolyOperator(self.mode_count, terms)
 
-    def shift_modes(self, offset: int, new_mode_count: int) -> "PolyOperator":
-        terms = [
-            (c, tuple((m + offset, d) for m, d in w)) for c, w in self.terms
-        ]
-        return PolyOperator(new_mode_count, terms)
-
     # -- degree bookkeeping -------------------------------------------
     @property
     def degree(self) -> int:
@@ -195,23 +183,6 @@ class PolyOperator:
         return all(n <= 0 for n in net)
 
 
-@dataclass(frozen=True)
-class DisplacementQ:
-    """exp(i*eta*q) on a single mode."""
-
-    eta: float
-
-
-@dataclass(frozen=True)
-class Rotation:
-    """R^k with R = exp(i*pi*n/2); diagonal with entries i^(k*n)."""
-
-    power: int
-
-
-UnitarySpec = DisplacementQ | Rotation
-
-
 @lru_cache(maxsize=None)
 def ladder(shape: TruncationShape, mode: int = 0) -> DenseOperator:
     """Truncated annihilation operator for one mode of a shape."""
@@ -227,10 +198,6 @@ def ladder(shape: TruncationShape, mode: int = 0) -> DenseOperator:
         lower = state[:mode] + (k - 1,) + state[mode + 1 :]
         out[bm.index[lower], col] = math.sqrt(k)
     return DenseOperator(shape, out)
-
-
-def creation(shape: TruncationShape, mode: int = 0) -> DenseOperator:
-    return ladder(shape, mode).dag()
 
 
 @lru_cache(maxsize=512)
@@ -358,35 +325,23 @@ def _stable_product(logpref: np.ndarray, lag: np.ndarray) -> np.ndarray:
     return vals
 
 
-def _single_mode_occupations(shape: TruncationShape) -> np.ndarray:
-    if shape.mode_count != 1:
-        raise OperatorError("operation requires a single-mode shape")
-    return basis_map(shape).occupations(0)
+def _displacement_table(
+    occ_rows: np.ndarray, occ_cols: np.ndarray, beta: complex
+) -> np.ndarray:
+    """<m|D(beta)|n> for the single-mode occupations m in ``occ_rows``
+    and n in ``occ_cols``."""
+    table = displacement_block(int(occ_rows.max()) + 1, int(occ_cols.max()) + 1, beta)
+    return table[np.ix_(occ_rows, occ_cols)]
 
 
 @lru_cache(maxsize=256)
 def displacement_q(shape: TruncationShape, eta: float) -> DenseOperator:
     """Exact truncation of exp(i*eta*q) to a single-mode shape."""
-    occ = _single_mode_occupations(shape)
-    kmax = int(occ.max())
-    table = displacement_block(kmax + 1, kmax + 1, 1j * eta / math.sqrt(2.0))
-    return DenseOperator(shape, table[np.ix_(occ, occ)])
-
-
-@lru_cache(maxsize=256)
-def rotation(shape: TruncationShape, k: int = 1) -> DenseOperator:
-    """Diagonal unitary with entries i^(k*n) per mode-0 occupation."""
+    if shape.mode_count != 1:
+        raise OperatorError("operation requires a single-mode shape")
     occ = basis_map(shape).occupations(0)
-    diag = np.power(1j, (int(k) * occ) % 4)
-    return DenseOperator(shape, np.diag(diag.astype(np.complex128)))
-
-
-def truncated_unitary(spec: UnitarySpec, shape: TruncationShape) -> DenseOperator:
-    if isinstance(spec, DisplacementQ):
-        return displacement_q(shape, spec.eta)
-    if isinstance(spec, Rotation):
-        return rotation(shape, spec.power)
-    raise OperatorError(f"unknown unitary spec {spec!r}")
+    beta = 1j * eta / math.sqrt(2.0)
+    return DenseOperator(shape, _displacement_table(occ, occ, beta))
 
 
 # ---------------------------------------------------------------------------
@@ -429,9 +384,7 @@ def _tensor_displacement(
     out = np.ones((d, d), dtype=np.complex128)
     for mode, beta in enumerate(betas):
         occ = bm.occupations(mode)
-        kmax = int(occ.max())
-        table = displacement_block(kmax + 1, kmax + 1, beta)
-        out *= table[np.ix_(occ, occ)]
+        out *= _displacement_table(occ, occ, beta)
     return out
 
 

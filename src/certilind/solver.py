@@ -35,7 +35,13 @@ from .fockspace import (
     project,
     shrink,
 )
-from .lindblad import DensityState, LindbladModel, ModelError, shaped_generator
+from .lindblad import (
+    DensityState,
+    LindbladModel,
+    ModelError,
+    _hermitian_part,
+    shaped_generator,
+)
 
 __all__ = [
     "SolverConfig",
@@ -125,11 +131,10 @@ class RunResult:
 
 
 class StepResult(NamedTuple):
-    delta_rho: DenseOperator
+    rho_next: DenseOperator  # the accepted state
     dt: float
     h_next: float
-    rho_next: DenseOperator | None = None  # the accepted state itself
-    last_stage: np.ndarray | None = None  # L_N(t + dt, rho_next)
+    last_stage: np.ndarray  # L_N(t + dt, rho_next)
 
 
 # ---------------------------------------------------------------------------
@@ -159,15 +164,6 @@ _DP_ERR = (
 
 _DP_ROWS = tuple(np.array(row) for row in _DP_A)
 _DP_ERR_ROW = np.array(_DP_ERR)
-
-
-def _hermitian_part(mat: np.ndarray) -> np.ndarray:
-    """(mat + mat^dag) / 2, exactly Hermitian.  Every state a stepper
-    returns goes through it: the generator's one-sided products are
-    L_N only on Hermitian input."""
-    out = mat + mat.conj().T
-    out *= 0.5
-    return out
 
 
 def _rms(x: np.ndarray) -> float:
@@ -261,9 +257,9 @@ def adaptive_solve_one_step(
 ) -> StepResult:
     """One accepted embedded RK 5(4) step of d rho/dt = L_shape(rho).
 
-    Returns the state increment, the step the controller chose, the
-    suggested next step size, the accepted (exactly Hermitian) state and
-    its stage L_shape(t + dt, rho_next).  Passing that stage back as
+    Returns the accepted (exactly Hermitian) state, the step the
+    controller chose, the suggested next step size and the state's stage
+    L_shape(t + dt, rho_next).  Passing that stage back as
     ``first_stage`` of the next step on the same shape saves one
     generator application (first same as last).
     """
@@ -272,13 +268,11 @@ def adaptive_solve_one_step(
     gen = shaped_generator(model, shape)
     horizon = horizon if horizon is not None else max(abs(t), 1.0)
     remaining = horizon - t if horizon > t else horizon
-    y = np.asarray(rho.matrix)
     y1, dt, h_next, stage = _adaptive_step_raw(
-        gen.apply, t, y, time_tol, remaining, horizon, h_start, first_stage
+        gen.apply, t, np.asarray(rho.matrix), time_tol, remaining, horizon,
+        h_start, first_stage,
     )
-    return StepResult(
-        DenseOperator(shape, y1 - y), dt, h_next, DenseOperator(shape, y1), stage
-    )
+    return StepResult(DenseOperator(shape, y1), dt, h_next, stage)
 
 
 # ---------------------------------------------------------------------------

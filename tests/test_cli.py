@@ -2,10 +2,13 @@ import csv
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import certilind
 from certilind.cli import cmd_simulate, cmd_sweep, main
 from certilind.fockspace import Rect, WeightedTotal, dimension
 from certilind.lindblad import GkpDissipator, PolyExpr
@@ -343,3 +346,21 @@ class TestPresetDefinitions:
             built.config.final_time, 2.0 / (0.15 * 2.0 * math.sqrt(math.pi))
         )
         assert np.isclose(built.config.dt, 5e-4 * built.config.final_time)
+
+
+def test_import_leaves_scipy_linear_algebra_unloaded():
+    # each of these adds 5-7 MB of resident memory; importing the package
+    # or its command line must not pull them in
+    src = os.path.dirname(os.path.dirname(os.path.abspath(certilind.__file__)))
+    code = (
+        "import sys, certilind, certilind.cli; "
+        "print([m for m in ('scipy.linalg', 'scipy.sparse.linalg') if m in sys.modules])"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"

@@ -9,23 +9,23 @@ from certilind.estimators import (
     EstimatorLedger,
     LedgerEntry,
     cosine_defect,
-    defect_cat_closed_form,
-    defect_drive_closed_form,
-    dissipator_defect_blocks,
     euler_timedep_step_bound,
-    gkp_defect_bound,
-    global_time_bound,
     model_space_defect,
-    space_defect_generic,
     taylor_step_bound,
     tr_sqrt_psd,
-    unitary_dissipator_bound,
     unitary_offblock_norm,
     xi_step,
 )
 from certilind.fockspace import DenseOperator, Rect, embed
-from certilind.lindblad import CoefficientFn, lindblad_superoperator
+from certilind.lindblad import (
+    CoefficientFn,
+    GkpDissipator,
+    LindbladModel,
+    grown_shape,
+    truncated_expr,
+)
 from certilind.models import (
+    cat_buffer_model,
     cat_model,
     gkp_model,
     linear_drive_model,
@@ -39,6 +39,13 @@ from certilind.operators import (
     fock_density,
     materialize_poly,
     trace_norm,
+)
+from oracles import (
+    defect_cat_closed_form,
+    defect_drive_closed_form,
+    dissipator_defect_blocks,
+    lindblad_superoperator,
+    two_sided_generator,
 )
 
 ETA_GRID = 2.0 * math.sqrt(math.pi)
@@ -114,13 +121,13 @@ class TestSpaceDefectGeneric:
         model = number_drive_model(0.8)
         for n in (3, 8, 15):
             rho = DenseOperator(Rect([n]), random_density(rng, n + 1))
-            assert space_defect_generic(model, 0.0, rho) <= 1e-14
+            assert model_space_defect(model, 0.0, rho) <= 1e-14
 
     def test_vacuum_state_drive_defect_zero(self):
         model = linear_drive_model(1.0)
         n = 6
         rho = fock_density(Rect([n]), [0])
-        assert space_defect_generic(model, 0.0, rho) <= 1e-14
+        assert model_space_defect(model, 0.0, rho) <= 1e-14
 
     def test_top_fock_drive_defect(self):
         # |N><N| has <N|rho^2|N> = 1, so the defect is 2 sqrt(N+1)
@@ -128,7 +135,7 @@ class TestSpaceDefectGeneric:
         n = 7
         rho = fock_density(Rect([n]), [n])
         assert np.isclose(
-            space_defect_generic(model, 0.0, rho), 2.0 * math.sqrt(n + 1), rtol=1e-12
+            model_space_defect(model, 0.0, rho), 2.0 * math.sqrt(n + 1), rtol=1e-12
         )
 
     def test_outputs_nonnegative_finite(self):
@@ -136,7 +143,7 @@ class TestSpaceDefectGeneric:
         model = cat_model(1.0)
         for n in (2, 5, 9):
             rho = DenseOperator(Rect([n]), random_density(rng, n + 1))
-            val = space_defect_generic(model, 0.0, rho)
+            val = model_space_defect(model, 0.0, rho)
             assert np.isfinite(val) and val >= 0.0
 
 
@@ -147,7 +154,7 @@ class TestClosedForms:
             u = 0.3 + 0.5 * n
             model = linear_drive_model(u)
             rho = DenseOperator(Rect([n]), random_density(rng, n + 1))
-            generic = space_defect_generic(model, 0.0, rho)
+            generic = model_space_defect(model, 0.0, rho)
             closed = defect_drive_closed_form(u, rho)
             assert np.isclose(closed, generic, rtol=1e-12)
 
@@ -157,7 +164,7 @@ class TestClosedForms:
         model = cat_model(alpha)
         for n in (2, 6):
             rho = DenseOperator(Rect([n]), random_density(rng, n + 1))
-            generic = space_defect_generic(model, 0.0, rho)
+            generic = model_space_defect(model, 0.0, rho)
             closed = defect_cat_closed_form(alpha, rho)
             assert np.isclose(closed, generic, rtol=1e-12)
 
@@ -194,7 +201,7 @@ class TestClosedForms:
         for n in (4, 8):
             rho = DenseOperator(Rect([n]), random_density(rng, n + 1))
             blocks = dissipator_defect_blocks(gamma, rho)
-            generic = space_defect_generic(model, 0.0, rho)
+            generic = model_space_defect(model, 0.0, rho)
             assert np.isclose(blocks, generic, rtol=1e-12)
 
 
@@ -202,24 +209,23 @@ class TestUnitaryLemma:
     def test_identity_unitary_gives_zero(self):
         rng = np.random.default_rng(109)
         shape = Rect([6])
-        u = DenseOperator.identity(shape)
-        m = DenseOperator(shape, random_density(rng, 7))
-        assert unitary_offblock_norm(u, m, shape) <= 1e-12
+        u = np.eye(7, dtype=complex)
+        assert unitary_offblock_norm(u, random_density(rng, 7)) <= 1e-12
 
     def test_zero_operand_gives_zero(self):
         shape = Rect([6])
-        u = displacement_q(shape, 1.1)
-        assert unitary_offblock_norm(u, DenseOperator.zeros(shape), shape) == 0.0
+        u = displacement_q(shape, 1.1).matrix
+        assert unitary_offblock_norm(u, np.zeros((7, 7), dtype=complex)) == 0.0
 
     def test_matches_brute_force_offblock(self):
         rng = np.random.default_rng(110)
         eta = ETA_GRID
         shape = Rect([10])
-        u = displacement_q(shape, eta)
+        u = displacement_q(shape, eta).matrix
         big = exact_displacement_big(10, 60, eta)
         for _ in range(5):
             m = random_density(rng, 11)
-            val = unitary_offblock_norm(u, DenseOperator(shape, m), shape)
+            val = unitary_offblock_norm(u, m)
             tail = big[11:, :11] @ m
             brute = np.linalg.svd(tail, compute_uv=False).sum()
             assert abs(val - brute) < 1e-8
@@ -231,9 +237,9 @@ class TestUnitaryLemma:
         rng = np.random.default_rng(111)
         eta = 1.4
         small, bigshape = Rect([7]), Rect([9])
-        u = displacement_q(bigshape, eta)
+        u = displacement_q(bigshape, eta).matrix
         m = embed(DenseOperator(small, random_density(rng, 8)), bigshape)
-        val = unitary_offblock_norm(u, m, small)
+        val = unitary_offblock_norm(u, m.matrix, slice(8, None))
         table = exact_displacement_big(9, 70, eta)
         brute = np.linalg.svd(table[8:, :10] @ m.matrix, compute_uv=False).sum()
         assert val >= brute - 1e-10
@@ -241,59 +247,9 @@ class TestUnitaryLemma:
 
     def test_rejects_non_unitary_input(self):
         shape = Rect([5])
-        bogus = DenseOperator(shape, 2.0 * np.eye(6))
-        m = DenseOperator.identity(shape)
+        bogus = 2.0 * np.eye(6)
         with pytest.raises(EstimatorError):
-            unitary_offblock_norm(bogus, m, shape)
-
-
-class TestUnitaryDissipatorBound:
-    def test_identity_gives_zero(self):
-        rng = np.random.default_rng(112)
-        shape = Rect([5])
-        rho = DenseOperator(shape, random_density(rng, 6))
-        assert unitary_dissipator_bound(DenseOperator.identity(shape), rho) <= 1e-12
-
-    def test_dominates_brute_force_defect(self):
-        rng = np.random.default_rng(113)
-        eta = ETA_GRID
-        n = 10
-        shape = Rect([n])
-        u_n = displacement_q(shape, eta)
-        big = exact_displacement_big(n, 80, eta)
-        nb = big.shape[0]
-        for _ in range(6):
-            rho = random_density(rng, n + 1)
-            bound = unitary_dissipator_bound(u_n, DenseOperator(shape, rho))
-            # oracle: dissipator defect realized on the big rectangle
-            emb = np.zeros((nb, nb), dtype=complex)
-            emb[: n + 1, : n + 1] = rho
-            un_emb = np.zeros_like(big)
-            un_emb[: n + 1, : n + 1] = u_n.matrix
-
-            def dissipator(g, r):
-                gdg = g.conj().T @ g
-                return g @ r @ g.conj().T - 0.5 * (gdg @ r + r @ gdg)
-
-            defect = dissipator(big, emb) - dissipator(un_emb, emb)
-            brute = trace_norm(defect, hermitian=True)
-            assert bound >= brute - 1e-10
-
-    def test_monotone_in_truncation_for_fixed_state(self):
-        eta = 1.8
-        rng = np.random.default_rng(114)
-        rho_small = random_density(rng, 7)
-        values = []
-        for n in (8, 12, 16, 24):
-            shape = Rect([n])
-            rho = np.zeros((n + 1, n + 1), dtype=complex)
-            rho[:7, :7] = rho_small
-            values.append(
-                unitary_dissipator_bound(
-                    displacement_q(shape, eta), DenseOperator(shape, rho)
-                )
-            )
-        assert all(b <= a * (1 + 1e-9) for a, b in zip(values, values[1:]))
+            unitary_offblock_norm(bogus, np.eye(6))
 
 
 class TestGkpBound:
@@ -301,7 +257,7 @@ class TestGkpBound:
         rng = np.random.default_rng(115)
         shape = Rect([8])
         rho = DenseOperator(shape, random_density(rng, 9))
-        assert gkp_defect_bound(1.0, 0.0, 0.0, rho) <= 1e-10
+        assert model_space_defect(gkp_model(1.0, 0.0, 0.0), 0.0, rho) <= 1e-10
 
     def test_dominates_enlarged_oracle_on_vacuum(self):
         eps = 0.15
@@ -309,7 +265,7 @@ class TestGkpBound:
         n = 12
         shape = Rect([n])
         rho = fock_density(shape, [0])
-        bound = gkp_defect_bound(1.0, eta, eps, rho)
+        bound = model_space_defect(gkp_model(1.0, eta, eps), 0.0, rho)
         brute = gkp_brute_force_defect(1.0, eta, eps, rho, n_big=4 * (n + 1))
         assert bound >= brute - 1e-10
         assert bound < 10.0  # sanity: not vacuously large for the vacuum
@@ -321,11 +277,17 @@ class TestGkpBound:
         shape = Rect([n])
         diag = np.exp(-0.7 * np.arange(n + 1))
         rho = DenseOperator(shape, np.diag(diag / diag.sum()).astype(complex))
-        from certilind.estimators import _gkp_sector_defect
-
-        vals = [_gkp_sector_defect(1.0, eta, eps, k, rho) for k in range(4)]
+        vals = [
+            model_space_defect(
+                LindbladModel(1, dissipators=(GkpDissipator(1.0, eta, eps, k),)),
+                0.0,
+                rho,
+            )
+            for k in range(4)
+        ]
         assert np.allclose(vals, vals[0], rtol=1e-9)
-        assert np.isclose(gkp_defect_bound(1.0, eta, eps, rho), sum(vals))
+        total = model_space_defect(gkp_model(1.0, eta, eps), 0.0, rho)
+        assert np.isclose(total, sum(vals))
 
 
 def gkp_brute_force_defect(amplitude, eta, eps, rho, n_big):
@@ -469,29 +431,66 @@ class TestTimeBounds:
         term3 = dt * defect_drive_closed_form(math.sin(t_n), rho)
         assert np.isclose(got, term1 + term2 + term3, rtol=1e-10)
 
-    def test_global_bound_sums(self):
-        assert global_time_bound([]) == 0.0
-        assert global_time_bound([0.25]) == 0.25
-        assert np.isclose(global_time_bound([0.1, 0.2, 0.3]), 0.6)
+    def test_euler_matches_mixed_oracle(self):
+        # constant exchange term, sin(t) drive and buffer loss: the drift,
+        # second-order and space-defect terms of the per-step formula,
+        # from dense two-sided products on the shape grown by two margins
+        rng = np.random.default_rng(125)
+        u = CoefficientFn(fn=math.sin, sup=1.0, dsup=1.0, label="sin(t)")
+        model = cat_buffer_model(drive=u)
+        shape = Rect([4, 2])
+        rho = DenseOperator(shape, random_density(rng, 15))
+        dt, t_n = 0.01, 0.4
+        got = euler_timedep_step_bound(model, rho, t_n, dt)
+
+        big = grown_shape(model, shape, factor=2)
+        emb = embed(rho, big).matrix
+        h_drive = truncated_expr(model.hamiltonian[1][1], big).matrix
+
+        def drive_comm(x):
+            return -1j * (h_drive @ x - x @ h_drive)
+
+        invariant = LindbladModel(
+            2, hamiltonian=model.hamiltonian[:1], dissipators=model.dissipators
+        )
+        term1 = dt**2 * 1.0 * trace_norm(drive_comm(emb), hermitian=True)
+        m = two_sided_generator(model, t_n, big, emb)  # L(t_n, rho), exact
+        term2 = 0.5 * dt**2 * (
+            1.0 * trace_norm(drive_comm(m), hermitian=True)
+            + trace_norm(two_sided_generator(invariant, t_n, big, m), hermitian=True)
+        )
+        local = embed(
+            DenseOperator(shape, two_sided_generator(model, t_n, shape, rho.matrix)),
+            big,
+        ).matrix
+        term3 = dt * trace_norm(m - local, hermitian=True)
+        assert term1 > 0 and term3 > 0
+        assert np.isclose(got, term1 + term2 + term3, rtol=1e-10)
 
 
 class TestDispatcher:
     def test_poly_routing(self):
         rng = np.random.default_rng(123)
         model = cat_model(1.0)
-        rho = DenseOperator(Rect([6]), random_density(rng, 7))
-        assert np.isclose(
-            model_space_defect(model, 0.0, rho),
-            space_defect_generic(model, 0.0, rho),
-        )
+        shape = Rect([6])
+        rho = DenseOperator(shape, random_density(rng, 7))
+        # the exact defect: L on the margin-grown shape, minus L_N
+        big = grown_shape(model, shape)
+        full = two_sided_generator(model, 0.0, big, embed(rho, big).matrix)
+        local = two_sided_generator(model, 0.0, shape, rho.matrix)
+        want = trace_norm(full - embed(DenseOperator(shape, local), big).matrix)
+        assert np.isclose(model_space_defect(model, 0.0, rho), want, rtol=1e-12)
 
     def test_gkp_routing(self):
         rho = fock_density(Rect([10]), [0])
         model = gkp_model(eps=0.15)
         val = model_space_defect(model, 0.0, rho)
-        assert np.isclose(
-            val, gkp_defect_bound(1.0, 2.0 * math.sqrt(math.pi), 0.15, rho)
-        )
+        # one term per rotated dissipator, each routed on its own
+        sectors = [
+            model_space_defect(LindbladModel(1, dissipators=(diss,)), 0.0, rho)
+            for diss in model.dissipators
+        ]
+        assert val == sum(sectors) and val > 0
 
     def test_cosine_routing(self):
         from certilind.models import cosine_hamiltonian_model

@@ -221,6 +221,12 @@ class TestGrowShrink:
         with pytest.raises(ShapeError):
             shrink(WeightedTotal(["1"], 2), 3)
 
+    @pytest.mark.parametrize("resize", [grow, shrink])
+    @pytest.mark.parametrize("step", [(1,), (1, 1, 1)])
+    def test_per_mode_step_length_checked(self, resize, step):
+        with pytest.raises(ShapeError, match="per-mode step length"):
+            resize(Rect([4, 4]), step)
+
 
 @settings(max_examples=50, deadline=None)
 @given(

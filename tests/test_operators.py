@@ -16,7 +16,6 @@ from certilind.operators import (
     herm_part,
     ladder,
     materialize_poly,
-    rotation,
     trace_norm,
 )
 
@@ -194,21 +193,6 @@ class TestDisplacement:
     def test_block_is_symmetric_for_iq(self):
         blk = displacement_block(9, 9, 1j * 0.8 / math.sqrt(2))
         assert np.allclose(blk, blk.T)
-
-
-class TestRotation:
-    def test_identity_powers(self):
-        shape = Rect([5])
-        assert np.array_equal(rotation(shape, 0).matrix, np.eye(6))
-        assert np.array_equal(rotation(shape, 4).matrix, np.eye(6))
-
-    def test_unitary(self):
-        r = rotation(Rect([7]), 1)
-        assert np.allclose(r.matrix @ r.matrix.conj().T, np.eye(8))
-
-    def test_diagonal_phases(self):
-        r = rotation(Rect([4]), 1)
-        assert np.allclose(np.diag(r.matrix), [1, 1j, -1, -1j, 1])
 
 
 class TestTraceNorm:
