@@ -53,7 +53,6 @@ from .operators import (
     displacement_q,
     fock_density,
     herm_part,
-    ladder,
     materialize_poly,
     trace_norm,
 )

@@ -21,6 +21,7 @@ from .fockspace import (
     _complement_indices,
     _embed_array,
     _embedding_indices,
+    _grow_by_margin,
     basis_map,
     dimension,
 )
@@ -28,6 +29,7 @@ from .lindblad import (
     CoefficientFn,
     LindbladModel,
     ModelError,
+    _fock_rotation_phase,
     _gkp_q_poly,
     _hermitian_part,
     grown_shape,
@@ -35,7 +37,6 @@ from .lindblad import (
 )
 from .operators import (
     PolyOperator,
-    _grow_by_margin,
     cosine_unitary_pair,
     displacement_block,
     displacement_q,
@@ -309,7 +310,7 @@ class _GkpContext:
         )
         self.v = materialize_poly(v_poly, g2).matrix
         self.amplitude = amplitude
-        self.rot_phase = np.power(1j, basis_map(shape).occupations(0) % 4)
+        self.occ = basis_map(shape).occupations(0)
         # state-independent kernel of the Q^dag Q mismatch term
         uq = u1 @ self.q
         uq[:, self.dim :] = 0.0  # U_(N+1) Q P_N
@@ -321,7 +322,7 @@ class _GkpContext:
 
     def sector_defect(self, rho: np.ndarray, sector: int) -> float:
         if sector % 4:
-            r = self.rot_phase ** (sector % 4)
+            r = _fock_rotation_phase(self.occ, sector)
             rho = (r.conj()[:, None] * rho) * r[None, :]
         emb = _embed_array(rho, self.pos, self.dim2)
 

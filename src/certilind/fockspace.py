@@ -345,3 +345,15 @@ def shrink(shape: TruncationShape, step) -> TruncationShape:
     if new_cap < 0:
         raise ShapeError(f"shrink would drop the cap below zero: {new_cap}")
     return WeightedTotal(shape.weights, new_cap)
+
+
+def _grow_by_margin(shape: TruncationShape, margin: Sequence[int]) -> TruncationShape:
+    """Grow a shape by a per-mode margin, converting to a grade increment
+    for weighted shapes."""
+    margin = tuple(int(m) for m in margin)
+    if all(m == 0 for m in margin):
+        return shape
+    if isinstance(shape, Rect):
+        return grow(shape, margin)
+    inc = sum(w * m for w, m in zip(shape.weights, margin))
+    return grow(shape, inc)

@@ -25,6 +25,7 @@ from .fockspace import (
     DenseOperator,
     TruncationShape,
     _embedding_indices,
+    _grow_by_margin,
     basis_map,
     dimension,
     grow,
@@ -32,7 +33,6 @@ from .fockspace import (
 from .operators import (
     PolyOperator,
     _displacement_table,
-    _grow_by_margin,
     cosine_of,
     materialize_poly,
 )
@@ -227,6 +227,15 @@ def _gkp_q_poly(amplitude: float, eps: float) -> PolyOperator:
     )
 
 
+_I_POWERS = np.array([1, 1j, -1, -1j])
+
+
+def _fock_rotation_phase(occ: np.ndarray, sector: int) -> np.ndarray:
+    """Diagonal i^(sector n) of the Fock rotation R^sector, R = exp(i pi n / 2),
+    at the occupations ``occ``; read from a table, so every entry is exact."""
+    return _I_POWERS[(sector * occ) % 4]
+
+
 def _single_mode_caps(shape: TruncationShape) -> np.ndarray:
     if shape.mode_count != 1:
         raise ModelError("GKP expressions require a single-mode shape")
@@ -248,7 +257,7 @@ def _gkp_truncated_gamma(
     uq = u_block @ q_big[:, _embedding_indices(shape, big)]  # P U Q P, exact
     gamma0 = uq - np.eye(len(occ))
     if sector % 4:
-        r = np.power(1j, (sector * occ) % 4)
+        r = _fock_rotation_phase(occ, sector)
         gamma0 = (r[:, None] * gamma0) * r.conj()[None, :]
     return DenseOperator(shape, gamma0)
 

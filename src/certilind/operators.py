@@ -1,13 +1,15 @@
 """Operator constructors on truncated Fock spaces.
 
-Ladder operators, symbolic polynomials in per-mode creation/annihilation
-letters with *exact* truncation-aware materialization, displacement-type
-truncated unitaries via the stable Laguerre closed form, and trace norms.
+Symbolic polynomials in per-mode creation/annihilation letters with
+*exact* truncation-aware materialization, displacement-type truncated
+unitaries via the stable Laguerre closed form, and trace norms.
 
 Exactness convention: ``materialize_poly(Q, shape)`` returns the true
 P Q P of the untruncated operator, never the product of truncated
-letters.  Words are built on a shape grown by their per-mode raising
-count so no intermediate state leaks through the cut.
+letters.  Each word acts on the integer occupations of the basis
+states, rightmost letter first, with the ladder's square-root factors;
+an entry is kept when the final occupation lies in the shape, so no
+intermediate state meets a cut.
 """
 
 from __future__ import annotations
@@ -20,20 +22,11 @@ from typing import Sequence
 import numpy as np
 from scipy.special import gammaln
 
-from .fockspace import (
-    DenseOperator,
-    Rect,
-    TruncationShape,
-    _embedding_indices,
-    basis_map,
-    dimension,
-    grow,
-)
+from .fockspace import DenseOperator, TruncationShape, basis_map
 
 __all__ = [
     "PolyOperator",
     "OperatorError",
-    "ladder",
     "materialize_poly",
     "displacement_q",
     "displacement_block",
@@ -151,13 +144,6 @@ class PolyOperator:
                 deg[j] = max(deg[j], sum(1 for m, _ in word if m == j))
         return tuple(deg)
 
-    def per_mode_raises(self) -> tuple[int, ...]:
-        up = [0] * self.mode_count
-        for _, word in self.terms:
-            for j in range(self.mode_count):
-                up[j] = max(up[j], sum(1 for m, d in word if m == j and d))
-        return tuple(up)
-
     def word_nets(self) -> tuple[tuple[int, ...], ...]:
         nets = []
         for _, word in self.terms:
@@ -183,76 +169,52 @@ class PolyOperator:
         return all(n <= 0 for n in net)
 
 
-@lru_cache(maxsize=None)
-def ladder(shape: TruncationShape, mode: int = 0) -> DenseOperator:
-    """Truncated annihilation operator for one mode of a shape."""
-    bm = basis_map(shape)
-    if not 0 <= mode < shape.mode_count:
-        raise OperatorError(f"mode {mode} out of range")
-    d = len(bm.states)
-    out = np.zeros((d, d), dtype=np.complex128)
-    for col, state in enumerate(bm.states):
-        k = state[mode]
-        if k == 0:
-            continue
-        lower = state[:mode] + (k - 1,) + state[mode + 1 :]
-        out[bm.index[lower], col] = math.sqrt(k)
-    return DenseOperator(shape, out)
+def _word_action(states: np.ndarray, word: Word):
+    """Push every basis state through a word, rightmost letter first.
+
+    Returns the columns the word does not annihilate, their final
+    occupations, and the word's matrix elements, the square-root factors
+    multiplied leftmost letter first.  Occupations are plain integers,
+    so no intermediate state meets a cut.
+    """
+    cols = np.arange(len(states))
+    occ = states.copy()
+    factors = []
+    for mode, dagger in reversed(word):
+        if not dagger:
+            alive = occ[:, mode] > 0
+            cols, occ, factors = cols[alive], occ[alive], [f[alive] for f in factors]
+        factors.append(np.sqrt(occ[:, mode] + float(dagger)))
+        occ[:, mode] += 1 if dagger else -1
+    vals = np.ones(len(cols))
+    for f in reversed(factors):
+        vals = vals * f
+    return cols, occ, vals
 
 
 @lru_cache(maxsize=512)
 def materialize_poly(poly: PolyOperator, shape: TruncationShape) -> DenseOperator:
-    """Exact truncation P Q P, built with enlarged-space headroom.
+    """Exact truncation P Q P, built by index arithmetic on the basis.
 
-    Each word is evaluated on the shape grown by its per-mode raising
-    count, so intermediate states never hit the cut, then the result is
-    restricted back to `shape`.
+    Each word maps a basis state to one occupation tuple with a
+    square-root weight; the entry is kept when that tuple lies in
+    `shape`.  Words are added in term order.
     """
     if poly.mode_count != shape.mode_count:
         raise OperatorError(
             f"polynomial has {poly.mode_count} modes, shape has {shape.mode_count}"
         )
-    raises = poly.per_mode_raises()
-    big = _grow_by_margin(shape, raises)
-    dim_small = dimension(shape)
-    if big == shape:
-        letters = {}
-        total = np.zeros((dim_small, dim_small), dtype=np.complex128)
-        sub = None
-    else:
-        letters = {}
-        dbig = dimension(big)
-        total = np.zeros((dbig, dbig), dtype=np.complex128)
-        sub = _embedding_indices(shape, big)
-
-    def letter_matrix(mode: int, dagger: bool) -> np.ndarray:
-        key = (mode, dagger)
-        if key not in letters:
-            a = ladder(big, mode).matrix
-            letters[key] = a.conj().T if dagger else a
-        return letters[key]
-
-    eye = np.eye(total.shape[0], dtype=np.complex128)
+    bm = basis_map(shape)
+    states = np.array(bm.states, dtype=np.int64).reshape(-1, shape.mode_count)
+    d = len(states)
+    total = np.zeros((d, d), dtype=np.complex128)
     for coeff, word in poly.terms:
-        mat = eye
-        for mode, dagger in word:
-            mat = mat @ letter_matrix(mode, dagger)
-        total = total + coeff * mat
-    if sub is not None:
-        total = total[np.ix_(sub, sub)]
+        cols, occ, vals = _word_action(states, word)
+        rows = [bm.index.get(s, -1) for s in map(tuple, occ.tolist())]
+        rows = np.array(rows, dtype=np.intp)
+        inside = rows >= 0
+        total[rows[inside], cols[inside]] += coeff * vals[inside]
     return DenseOperator(shape, total)
-
-
-def _grow_by_margin(shape: TruncationShape, margin: Sequence[int]) -> TruncationShape:
-    """Grow a shape by a per-mode margin, converting to a grade increment
-    for weighted shapes."""
-    margin = tuple(int(m) for m in margin)
-    if all(m == 0 for m in margin):
-        return shape
-    if isinstance(shape, Rect):
-        return grow(shape, margin)
-    inc = sum(w * m for w, m in zip(shape.weights, margin))
-    return grow(shape, inc)
 
 
 # ---------------------------------------------------------------------------

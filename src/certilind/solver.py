@@ -95,6 +95,10 @@ class SolverConfig:
             raise SolverError(f"unknown scheme {self.scheme!r}")
         if self.scheme in ("rk4", "taylor", "euler") and not self.dt:
             raise SolverError(f"scheme {self.scheme!r} requires dt")
+        if self.dt is not None and not self.dt > 0:
+            raise SolverError(f"dt must be positive, got {self.dt}")
+        if not self.time_tol > 0:
+            raise SolverError(f"time_tol must be positive, got {self.time_tol}")
         if self.space_tol <= 0:
             raise SolverError("space_tol must be positive")
         if self.downsize_factor <= 1:

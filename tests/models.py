@@ -1,20 +1,22 @@
-"""Canonical model constructors for use from Python and by the tests.
+"""Python constructors of the standard models, for the tests.
 
-The presets describe their models as JSON model files instead.
+The program describes its models as JSON model files (see
+``certilind.presets``); ``test_presets_match_python_models`` holds each
+preset to its constructor here.
 """
 
 from __future__ import annotations
 
 import math
 
-from .lindblad import (
+from certilind.lindblad import (
     CoefficientFn,
     CosineExpr,
     GkpDissipator,
     LindbladModel,
     PolyExpr,
 )
-from .operators import PolyOperator
+from certilind.operators import PolyOperator
 
 __all__ = [
     "number_drive_model",

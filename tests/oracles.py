@@ -1,29 +1,79 @@
 """Reference computations that only the tests use.
 
 Closed forms of the paper for the linear drive and the two-photon cat,
-the 2x2 block decomposition of a polynomial dissipator's defect, and
-dense forms of the truncated generator.  Each is written independently
+the 2x2 block decomposition of a polynomial dissipator's defect, dense
+forms of the truncated generator, and polynomial words as products of
+dense ladder matrices on a grown shape.  Each is written independently
 of the route the program takes, so the tests can hold the program to it.
 """
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
 from certilind.fockspace import (
     DenseOperator,
+    TruncationShape,
     _complement_indices,
     _embedding_indices,
+    _grow_by_margin,
+    basis_map,
     dimension,
     embed,
 )
 from certilind.lindblad import truncated_expr
 from certilind.operators import (
     PolyOperator,
-    _grow_by_margin,
     materialize_poly,
     trace_norm,
 )
+
+
+@lru_cache(maxsize=128)
+def ladder(shape: TruncationShape, mode: int = 0) -> DenseOperator:
+    """Truncated annihilation operator for one mode of a shape."""
+    bm = basis_map(shape)
+    if not 0 <= mode < shape.mode_count:
+        raise ValueError(f"mode {mode} out of range")
+    d = len(bm.states)
+    out = np.zeros((d, d), dtype=np.complex128)
+    for col, state in enumerate(bm.states):
+        k = state[mode]
+        if k == 0:
+            continue
+        lower = state[:mode] + (k - 1,) + state[mode + 1 :]
+        out[bm.index[lower], col] = math.sqrt(k)
+    return DenseOperator(shape, out)
+
+
+def letter_product_poly(poly: PolyOperator, shape: TruncationShape) -> np.ndarray:
+    """P Q P as a sum of dense letter products on the shape grown by the
+    per-mode raising count, restricted back to ``shape``.
+
+    On the grown shape no intermediate state of a word meets the cut,
+    so the restriction is exact.
+    """
+    raises = [
+        max((sum(1 for m, d in word if m == j and d) for _, word in poly.terms), default=0)
+        for j in range(poly.mode_count)
+    ]
+    big = _grow_by_margin(shape, raises)
+    letters = {}
+    for mode in range(shape.mode_count):
+        a = ladder(big, mode).matrix
+        letters[mode, False] = a
+        letters[mode, True] = a.conj().T
+    d = dimension(big)
+    eye = np.eye(d, dtype=np.complex128)
+    total = np.zeros((d, d), dtype=np.complex128)
+    for coeff, word in poly.terms:
+        mat = eye
+        for letter in word:
+            mat = mat @ letters[letter]
+        total = total + coeff * mat
+    sub = _embedding_indices(shape, big)
+    return total[np.ix_(sub, sub)]
 
 
 def _last_two_indices(rho: DenseOperator) -> tuple[int, int]:

@@ -19,7 +19,7 @@ from certilind.estimators import (
 )
 from certilind.fockspace import DenseOperator, Rect, embed
 from certilind.lindblad import truncated_expr
-from certilind.models import (
+from models import (
     cat_buffer_model,
     cat_model,
     gkp_model,

@@ -22,7 +22,17 @@ from certilind.modelfile import (
     shape_from_spec,
 )
 from certilind.operators import PolyOperator, fock_density
-from certilind.presets import preset_model_file, preset_names
+from certilind.lindblad import CoefficientFn, truncated_expr
+from certilind.presets import PRESETS, preset_model_file, preset_names
+from certilind.solver import SolverConfig, SolverError
+from models import (
+    cat_buffer_model,
+    cat_model,
+    gkp_model,
+    linear_drive_model,
+    number_drive_model,
+    squeezed_cat_model,
+)
 
 
 def write_model(tmp_path, doc, name="model.json"):
@@ -314,6 +324,29 @@ class TestCommands:
         final = load_state_json(out / "final_state.json")
         assert np.isclose(final.trace().real, 1.0, atol=1e-9)
 
+    @pytest.mark.parametrize("scheme", ["rk4", "adaptive_rk"])
+    def test_negative_dt_exit_code_and_message(self, tmp_path, capsys, scheme):
+        # a negative step once ran exampleA as a single RK4 step of size T
+        doc = PRESETS["exampleA"]()
+        doc["solver"] = {"T": 0.2, "scheme": scheme, "dt": -5e-4}
+        path = write_model(tmp_path, doc)
+        assert cmd_simulate(path, str(tmp_path / "out")) == 1
+        assert "dt must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        with pytest.raises(SolverError):
+            SolverConfig(final_time=0.2, scheme="rk4", dt=-5e-4)
+
+    @pytest.mark.parametrize("time_tol", [0.0, -1e-10])
+    def test_non_positive_time_tol_exit_code_and_message(self, tmp_path, capsys, time_tol):
+        path = write_model(tmp_path, cat_doc(time_tol=time_tol))
+        assert cmd_simulate(path, str(tmp_path / "out")) == 1
+        assert "time_tol must be positive" in capsys.readouterr().err
+        path = write_model(tmp_path, cat_doc(), name="ok.json")
+        assert cmd_simulate(path, str(tmp_path / "out"), time_tol=time_tol) == 1
+        assert "time_tol must be positive" in capsys.readouterr().err
+        with pytest.raises(SolverError):
+            SolverConfig(final_time=0.2, time_tol=time_tol)
+
     def test_reproduce_list(self, capsys):
         assert main(["reproduce", "list"]) == 0
         out = capsys.readouterr().out.split()
@@ -335,6 +368,44 @@ class TestPresetDefinitions:
         mf = preset_model_file(name)
         built = mf.build()
         assert dimension(built.shape) >= 1
+
+    @pytest.mark.parametrize("name", preset_names())
+    def test_presets_match_python_models(self, name):
+        # each preset's model file against its constructor in
+        # tests/models.py, term by term on the preset's shape
+        python_models = {
+            "exampleA": lambda: number_drive_model(1.0),
+            "exampleB": lambda: linear_drive_model(
+                CoefficientFn(fn=math.sin, sup=1.0, dsup=1.0)
+            ),
+            "exampleC": lambda: cat_model(1.0),
+            "exampleD": lambda: squeezed_cat_model(1.0, 1.25),
+            "exampleE": lambda: cat_buffer_model(1.0),
+            "gkp": lambda: gkp_model(1.0, 2.0 * math.sqrt(math.pi), 0.15),
+            "adaptive1d": lambda: cat_model(1.0),
+            "adaptive2d": lambda: cat_buffer_model(
+                drive=CoefficientFn(fn=lambda t: 2.25 if t < 1.5 else 0.0, sup=2.25)
+            ),
+        }
+        assert set(python_models) == set(preset_names())
+        built = preset_model_file(name).build()
+        preset, python = built.model, python_models[name]()
+        shape = built.shape
+        assert preset.kind == python.kind
+        assert len(preset.hamiltonian) == len(python.hamiltonian)
+        assert len(preset.dissipators) == len(python.dissipators)
+        for (c_p, e_p), (c_y, e_y) in zip(preset.hamiltonian, python.hamiltonian):
+            m_p = truncated_expr(e_p, shape).matrix
+            m_y = truncated_expr(e_y, shape).matrix
+            for t in (0.0, 0.7, 1.5, 2.0):
+                np.testing.assert_allclose(c_p(t) * m_p, c_y(t) * m_y, rtol=1e-14, atol=0)
+        for e_p, e_y in zip(preset.dissipators, python.dissipators):
+            np.testing.assert_allclose(
+                truncated_expr(e_p, shape).matrix,
+                truncated_expr(e_y, shape).matrix,
+                rtol=1e-14,
+                atol=0,
+            )
 
     def test_gkp_preset_parameters(self):
         built = preset_model_file("gkp").build()
@@ -364,3 +435,44 @@ def test_import_leaves_scipy_linear_algebra_unloaded():
         check=True,
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_bench_tracing_hooks_attach():
+    # the benchmark's per-module metrics wrap these names from outside;
+    # a rename, or a materialize_poly without its lru_cache, drops spans
+    src = os.path.dirname(os.path.dirname(os.path.abspath(certilind.__file__)))
+    perfbench = os.path.join(os.path.dirname(src), "perfbench")
+    code = """
+import json, tracing
+from certilind.fockspace import Rect
+from certilind.operators import fock_density
+from certilind.presets import preset_model_file
+from certilind.solver import SolverConfig, run_fixed
+
+tracer = tracing.Tracer()
+tracing.install(tracer)
+model = preset_model_file("exampleA").build().model
+shape = Rect([5])
+config = SolverConfig(final_time=0.01, time_tol=1e-10)
+result = run_fixed(model, fock_density(shape, [3]), shape, config)
+print(json.dumps({"steps": len(result.trajectory),
+                  "spans": sorted({s[0] for s in tracer.spans})}))
+"""
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join([perfbench, src])},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    report = json.loads(out.stdout.strip().splitlines()[-1])
+    assert report["steps"] >= 2
+    assert {
+        "operators.materialize",
+        "lindblad.generator_build",
+        "lindblad.apply",
+        "estimators.defect",
+        "estimators.context_build",
+        "estimators.ledger",
+        "solver.step",
+    } <= set(report["spans"])

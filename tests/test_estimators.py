@@ -24,7 +24,7 @@ from certilind.lindblad import (
     grown_shape,
     truncated_expr,
 )
-from certilind.models import (
+from models import (
     cat_buffer_model,
     cat_model,
     gkp_model,
@@ -493,7 +493,7 @@ class TestDispatcher:
         assert val == sum(sectors) and val > 0
 
     def test_cosine_routing(self):
-        from certilind.models import cosine_hamiltonian_model
+        from models import cosine_hamiltonian_model
 
         rng = np.random.default_rng(124)
         model = cosine_hamiltonian_model([0.8], coeff=2.0)

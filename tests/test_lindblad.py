@@ -26,7 +26,7 @@ from certilind.lindblad import (
     grown_shape,
     truncated_expr,
 )
-from certilind.models import (
+from models import (
     cat_buffer_model,
     cat_model,
     cosine_hamiltonian_model,

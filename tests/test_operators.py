@@ -2,9 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from certilind.fockspace import DenseOperator, Rect, WeightedTotal, basis_map, dimension, project
+from certilind.fockspace import (
+    DenseOperator,
+    Rect,
+    WeightedTotal,
+    _grow_by_margin,
+    basis_map,
+    dimension,
+    project,
+)
+from certilind.lindblad import PolyExpr, _gkp_q_poly
+from certilind.presets import preset_model_file, preset_names
 from certilind.operators import (
     OperatorError,
     PolyOperator,
@@ -14,10 +26,10 @@ from certilind.operators import (
     displacement_q,
     fock_density,
     herm_part,
-    ladder,
     materialize_poly,
     trace_norm,
 )
+from oracles import ladder, letter_product_poly
 
 
 def random_matrix(rng, dim):
@@ -122,6 +134,71 @@ class TestMaterializePoly:
     def test_mode_count_mismatch(self):
         with pytest.raises(OperatorError):
             materialize_poly(PolyOperator.annihilator(2, 0), Rect([3]))
+
+
+def _preset_polys():
+    cases = []
+    for name in preset_names():
+        model = preset_model_file(name).build()
+        exprs = [e for _, e in model.model.hamiltonian] + list(model.model.dissipators)
+        for i, expr in enumerate(e for e in exprs if isinstance(e, PolyExpr)):
+            cases.append(pytest.param(expr.poly, model.shape, id=f"{name}-{i}"))
+    eps, eta = 0.15, 2.0 * math.sqrt(math.pi)
+    q = _gkp_q_poly(1.0, eps)
+    v = (
+        PolyOperator.identity(1)
+        - eps * PolyOperator.momentum(1, 0)
+        - eps * eta * PolyOperator.position(1, 0)
+    )
+    for label, poly in (("q", q), ("qdq", q.dag() * q), ("v", v)):
+        cases.append(pytest.param(poly, Rect([30]), id=f"gkp-{label}"))
+    return cases
+
+
+@st.composite
+def _shapes_and_terms(draw):
+    """A small Rect or WeightedTotal shape and up to four words of up to
+    five letters with complex coefficients."""
+    shape = draw(
+        st.one_of(
+            st.lists(st.integers(0, 4), min_size=1, max_size=2).map(Rect),
+            st.builds(
+                WeightedTotal,
+                st.lists(st.sampled_from(["1/2", "1", "2/3", "3/2"]), min_size=1, max_size=2),
+                st.integers(0, 4),
+            ),
+        )
+    )
+    letter = st.tuples(st.integers(0, shape.mode_count - 1), st.booleans())
+    coeff = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
+    word = st.lists(letter, max_size=5).map(tuple)
+    terms = draw(st.lists(st.tuples(coeff, word), min_size=1, max_size=4))
+    return shape, terms
+
+
+class TestMaterializeMatchesLetterProduct:
+    """Index arithmetic against dense letter products on a grown shape:
+    the same bits, not only the same values."""
+
+    @pytest.mark.parametrize("margins", [0, 1, 2])
+    @pytest.mark.parametrize("poly, shape", _preset_polys())
+    def test_preset_polynomials(self, poly, shape, margins):
+        shape = _grow_by_margin(shape, [margins * d for d in poly.per_mode_degree()])
+        got = materialize_poly(poly, shape).matrix
+        assert np.array_equal(got, letter_product_poly(poly, shape))
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=_shapes_and_terms())
+    # a a^dag a^dag: from |0> the word passes |2>, outside Rect([1]), back to |1>
+    @example(case=(Rect([1]), [(0.5 - 1j, ((0, False), (0, True), (0, True)))]))
+    # b^dag b^dag b b on the vacuum: annihilated, then raised back into the shape
+    @example(case=(WeightedTotal(["1/2", "1"], 2), [(2j, ((1, True), (1, True), (1, False), (1, False)))]))
+    def test_random_words(self, case):
+        shape, terms = case
+        poly = PolyOperator(shape.mode_count, terms)
+        got = materialize_poly(poly, shape).matrix
+        assert np.all(np.isfinite(got))
+        assert np.array_equal(got, letter_product_poly(poly, shape))
 
 
 class TestPolyBookkeeping:

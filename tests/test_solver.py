@@ -7,7 +7,7 @@ from scipy.linalg import expm
 from certilind import estimators, lindblad, solver
 from certilind.fockspace import DenseOperator, Rect, dimension
 from certilind.lindblad import CoefficientFn, LindbladModel, grown_shape
-from certilind.models import (
+from models import (
     cat_buffer_model,
     cat_model,
     linear_drive_model,
