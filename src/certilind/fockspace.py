@@ -3,8 +3,10 @@
 A truncation shape selects a finite set of occupation multi-indices
 (k_1, ..., k_m).  Two variants are supported: per-mode caps (``Rect``)
 and a weighted bound on the total excitation number (``WeightedTotal``).
-Basis enumeration is graded lexicographic and deterministic, so dense
-indices are stable across runs.  All values here are immutable.
+A ``Sector`` keeps the states of either one that carry given per-mode
+charges n_j mod m_j.  Basis enumeration is graded lexicographic and
+deterministic, so dense indices are stable across runs.  All values here
+are immutable.
 """
 
 from __future__ import annotations
@@ -19,12 +21,15 @@ import numpy as np
 __all__ = [
     "Rect",
     "WeightedTotal",
+    "Sector",
     "TruncationShape",
     "BasisMap",
     "DenseOperator",
     "ShapeError",
     "dimension",
     "basis_map",
+    "base_shape",
+    "charge_residues",
     "contains",
     "embed",
     "project",
@@ -105,10 +110,69 @@ class WeightedTotal:
         return sum(w * k for w, k in zip(self.weights, state))
 
 
-TruncationShape = Union[Rect, WeightedTotal]
+def charge_residues(moduli: Sequence[int], state: Sequence[int]) -> tuple[int, ...]:
+    """Per-mode charges of a state: n_j mod m_j, and n_j itself where m_j = 0."""
+    return tuple(n % m if m else n for m, n in zip(moduli, state))
+
+
+@dataclass(frozen=True)
+class Sector:
+    """The states of a base shape whose per-mode charges n_j mod moduli[j]
+    (n_j itself where the modulus is 0) equal ``residues``.
+
+    A model whose every word conserves these charges maps operators on
+    the sector to operators on it.  Basis order, grades, growth and
+    shrinking are the base shape's.
+    """
+
+    base: Union[Rect, WeightedTotal]
+    moduli: tuple[int, ...]
+    residues: tuple[int, ...]
+
+    def __init__(self, base, moduli: Sequence[int], residues: Sequence[int]):
+        if not isinstance(base, (Rect, WeightedTotal)):
+            raise ShapeError(
+                f"a sector's base must be a Rect or WeightedTotal, got {base!r}"
+            )
+        moduli = tuple(int(m) for m in moduli)
+        residues = tuple(int(r) for r in residues)
+        if len(moduli) != base.mode_count or len(residues) != base.mode_count:
+            raise ShapeError("one modulus and one residue per mode")
+        if any(m < 0 or r < 0 or (m and r >= m) for m, r in zip(moduli, residues)):
+            raise ShapeError(f"invalid charges: moduli {moduli}, residues {residues}")
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "moduli", moduli)
+        object.__setattr__(self, "residues", residues)
+
+    @property
+    def mode_count(self) -> int:
+        return self.base.mode_count
+
+    def in_sector(self, state: tuple[int, ...]) -> bool:
+        return charge_residues(self.moduli, state) == self.residues
+
+    def admits(self, state: tuple[int, ...]) -> bool:
+        return self.base.admits(state) and self.in_sector(state)
+
+    def grade(self, state: tuple[int, ...]):
+        return self.base.grade(state)
+
+    def with_base(self, base) -> "Sector":
+        return Sector(base, self.moduli, self.residues)
+
+
+TruncationShape = Union[Rect, WeightedTotal, Sector]
+
+
+def base_shape(shape: TruncationShape):
+    """The Rect or WeightedTotal a shape restricts: a sector's base, or
+    the shape itself."""
+    return shape.base if isinstance(shape, Sector) else shape
 
 
 def _enumerate_states(shape: TruncationShape) -> list[tuple[int, ...]]:
+    if isinstance(shape, Sector):
+        return [s for s in basis_map(shape.base).states if shape.in_sector(s)]
     if isinstance(shape, Rect):
         states: list[tuple[int, ...]] = []
 
@@ -145,12 +209,6 @@ class BasisMap:
     states: tuple[tuple[int, ...], ...]
     index: dict
 
-    def multi_index_of(self, dense_index: int) -> tuple[int, ...]:
-        return self.states[dense_index]
-
-    def index_of(self, state: tuple[int, ...]) -> int:
-        return self.index[tuple(state)]
-
     def occupations(self, mode: int) -> np.ndarray:
         arr = np.array([s[mode] for s in self.states], dtype=np.int64)
         arr.setflags(write=False)
@@ -185,6 +243,7 @@ def contains(shape_small: TruncationShape, shape_big: TruncationShape) -> bool:
             int(shape_small.cap / w) <= c
             for w, c in zip(shape_small.weights, shape_big.caps)
         )
+    # any other pair, charge sectors included: test every state
     return all(shape_big.admits(s) for s in basis_map(shape_small).states)
 
 
@@ -320,7 +379,10 @@ def _step_vector(shape: Rect, step) -> tuple[int, ...]:
 
 
 def grow(shape: TruncationShape, step) -> TruncationShape:
-    """Enlarge a shape: Rect adds a per-mode increment, WeightedTotal raises the cap."""
+    """Enlarge a shape: Rect adds a per-mode increment, WeightedTotal raises
+    the cap, a Sector grows its base."""
+    if isinstance(shape, Sector):
+        return shape.with_base(grow(shape.base, step))
     if isinstance(shape, Rect):
         inc = _step_vector(shape, step)
         if any(s < 0 for s in inc):
@@ -334,6 +396,8 @@ def grow(shape: TruncationShape, step) -> TruncationShape:
 
 def shrink(shape: TruncationShape, step) -> TruncationShape:
     """Mirror of grow; errors if any cap would become negative."""
+    if isinstance(shape, Sector):
+        return shape.with_base(shrink(shape.base, step))
     if isinstance(shape, Rect):
         inc = _step_vector(shape, step)
         new_caps = tuple(c - s for c, s in zip(shape.caps, inc))
@@ -353,6 +417,8 @@ def _grow_by_margin(shape: TruncationShape, margin: Sequence[int]) -> Truncation
     margin = tuple(int(m) for m in margin)
     if all(m == 0 for m in margin):
         return shape
+    if isinstance(shape, Sector):
+        return shape.with_base(_grow_by_margin(shape.base, margin))
     if isinstance(shape, Rect):
         return grow(shape, margin)
     inc = sum(w * m for w, m in zip(shape.weights, margin))

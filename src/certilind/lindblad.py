@@ -26,6 +26,7 @@ from .fockspace import (
     TruncationShape,
     _embedding_indices,
     _grow_by_margin,
+    base_shape,
     basis_map,
     dimension,
     grow,
@@ -48,6 +49,7 @@ __all__ = [
     "ModelError",
     "growth_margin",
     "grown_shape",
+    "conserved_charges",
     "apply_truncated",
     "truncated_expr",
 ]
@@ -216,6 +218,29 @@ def grown_shape(model: LindbladModel, shape: TruncationShape, factor: int = 1) -
     return _grow_by_margin(shape, tuple(factor * m for m in margin))
 
 
+def conserved_charges(model: LindbladModel) -> tuple[int, ...] | None:
+    """Per-mode moduli m_j of the charges n_j mod m_j that every word of
+    H and of each jump operator conserves.
+
+    m_j is the gcd of mode j's word nets, so every word changes n_j by a
+    multiple of m_j; m_j = 0 means no word changes n_j, which is then
+    conserved itself.  Each charge sector is then mapped to itself by L
+    and by every L_N (the weak symmetry of Buca and Prosen, New J. Phys.
+    14, 073007, 2012).  None for non-polynomial models and when every
+    m_j is 1.
+    """
+    if model.kind != "poly":
+        return None
+    moduli = [0] * model.mode_count
+    exprs = [expr for _, expr in model.hamiltonian] + list(model.dissipators)
+    for expr in exprs:
+        for net in expr.poly.word_nets():
+            moduli = [math.gcd(m, n) for m, n in zip(moduli, net)]
+    if all(m == 1 for m in moduli):
+        return None
+    return tuple(moduli)
+
+
 # ---------------------------------------------------------------------------
 # exact truncation of operator expressions
 # ---------------------------------------------------------------------------
@@ -280,11 +305,12 @@ def truncated_expr(expr: OperatorExpr, shape: TruncationShape) -> DenseOperator:
 # ---------------------------------------------------------------------------
 
 
-def _diagonal_of(mat: np.ndarray) -> np.ndarray | None:
-    diag = np.diagonal(mat)
-    if np.count_nonzero(mat - np.diag(diag)) == 0:
-        return diag.copy()
-    return None
+def _diagonal_of(mat) -> np.ndarray | None:
+    """The diagonal of a dense or sparse matrix whose off-diagonal entries
+    are all zero, else None."""
+    diag = mat.diagonal().copy()
+    nonzero = mat.count_nonzero() if sparse.issparse(mat) else np.count_nonzero(mat)
+    return diag if nonzero == np.count_nonzero(diag) else None
 
 
 def _hermitian_part(mat: np.ndarray) -> np.ndarray:
@@ -310,14 +336,16 @@ class _ShapedGenerator:
     sparse-times-dense path), and diagonal operators collapse to fused
     broadcast updates.  Ladder-polynomial operators are banded, so this
     cuts the cost of one generator application by an order of magnitude
-    at reference sizes.
+    at reference sizes.  A charge sector takes the form its base shape
+    takes, so its products round as the base shape's do on the sector
+    block.
     """
 
     def __init__(self, model: LindbladModel, shape: TruncationShape):
         self.model = model
         self.shape = shape
         self.dim = dimension(shape)
-        self.use_sparse = self.dim >= SPARSE_DIM_THRESHOLD
+        self.use_sparse = dimension(base_shape(shape)) >= SPARSE_DIM_THRESHOLD
 
         def factor(mat):
             return sparse.csr_matrix(mat) if self.use_sparse else mat
@@ -334,14 +362,18 @@ class _ShapedGenerator:
             else:
                 self.half_terms.append((coeff, -1j, factor(h)))
         for expr in model.dissipators:
-            g = truncated_expr(expr, shape).matrix
-            self.jumps.append(factor(g))
-            gdg = g.conj().T @ g
+            g = factor(truncated_expr(expr, shape).matrix)
+            self.jumps.append(g)
+            if self.use_sparse:
+                gdg = (g.conj().T @ g).tocsr()
+                gdg.sort_indices()
+            else:
+                gdg = g.conj().T @ g
             kdiag = _diagonal_of(gdg)
             if kdiag is not None:
                 self.k_grids.append(-0.5 * (kdiag[:, None] + kdiag[None, :]))
             else:
-                self.half_terms.append((None, -0.5, factor(gdg)))
+                self.half_terms.append((None, -0.5, gdg))
 
     def apply(self, t: float, rho: np.ndarray) -> np.ndarray:
         """L_N(t, rho) for a Hermitian ``rho``.

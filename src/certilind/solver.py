@@ -7,11 +7,18 @@ per-step time-discretization bounds when the time certificate is on).
 step is accepted only while xi stays under the linear-in-time budget
 (t/T) * space_tol, the shape grows on rejection, and it shrinks when the
 budget divided by the downsize factor tolerates the discarded tail.
+
+Both integrate a polynomial model on the charge sector of its initial
+state when the model conserves a charge (``conserved_charges``) and the
+state lies in one sector: the state stays there exactly, and the other
+entries are exact zeros.  Sizes, error norms and the final state still
+refer to the base shape.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -26,8 +33,13 @@ from .estimators import (
 )
 from .fockspace import (
     DenseOperator,
+    Sector,
     ShapeError,
     TruncationShape,
+    _embedding_indices,
+    base_shape,
+    basis_map,
+    charge_residues,
     contains,
     dimension,
     embed,
@@ -40,6 +52,7 @@ from .lindblad import (
     LindbladModel,
     ModelError,
     _hermitian_part,
+    conserved_charges,
     shaped_generator,
 )
 
@@ -89,6 +102,10 @@ class SolverConfig:
     enable_time_certificate: bool = False
 
     def __post_init__(self):
+        for name in ("final_time", "time_tol", "space_tol", "downsize_factor", "dt"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise SolverError(f"{name} must be finite, got {value}")
         if self.final_time <= 0:
             raise SolverError("final_time must be positive")
         if self.scheme not in ("adaptive_rk", "rk4", "taylor", "euler"):
@@ -103,6 +120,10 @@ class SolverConfig:
             raise SolverError("space_tol must be positive")
         if self.downsize_factor <= 1:
             raise SolverError("downsize_factor must exceed 1")
+        if self.max_dimension < 1:
+            raise SolverError(
+                f"max_dimension must be at least 1, got {self.max_dimension}"
+            )
         if self.enable_time_certificate and self.scheme not in ("taylor", "euler"):
             raise SolverError(
                 "the time certificate is available for the taylor and euler "
@@ -170,8 +191,13 @@ _DP_ROWS = tuple(np.array(row) for row in _DP_A)
 _DP_ERR_ROW = np.array(_DP_ERR)
 
 
-def _rms(x: np.ndarray) -> float:
-    return float(np.sqrt(np.mean(np.abs(x) ** 2)))
+def _scaled_rms(x: np.ndarray, scale: np.ndarray, count: int) -> float:
+    """Root mean square of |x| / scale over ``count`` entries, in real
+    arithmetic; entries beyond x.size count as zeros."""
+    r = np.abs(x)
+    r /= scale
+    r = r.ravel()
+    return math.sqrt(float(np.dot(r, r)) / count)
 
 
 def _dp_attempt(f, t, y, k0, h):
@@ -198,37 +224,40 @@ def _dp_attempt(f, t, y, k0, h):
     return yi, err, k
 
 
-def _error_measure(err, y0, y1, tol):
-    scale = tol + tol * np.maximum(np.abs(y0), np.abs(y1))
-    return _rms(err / scale)
+def _error_measure(err, y0, y1, tol, count):
+    scale = np.maximum(np.abs(y0), np.abs(y1))
+    scale *= tol
+    scale += tol
+    return _scaled_rms(err, scale, count)
 
 
-def _initial_step(f, t, y, f0, tol, remaining):
+def _initial_step(f, t, y, f0, tol, remaining, count):
     scale = tol + tol * np.abs(y)
-    d0 = _rms(y / scale)
-    d1 = _rms(f0 / scale)
+    d0 = _scaled_rms(y, scale, count)
+    d1 = _scaled_rms(f0, scale, count)
     if d0 < 1e-5 or d1 < 1e-5:
         h0 = 1e-6
     else:
         h0 = 0.01 * d0 / d1
     h0 = min(h0, remaining)
     f1 = f(t + h0, y + h0 * f0)
-    d2 = _rms((f1 - f0) / scale) / h0
+    d2 = _scaled_rms(f1 - f0, scale, count) / h0
     if max(d1, d2) <= 1e-15:
         return remaining  # flat vector field: jump to the horizon cap
     h1 = (0.01 / max(d1, d2)) ** 0.2
     return min(100.0 * h0, h1, remaining)
 
 
-def _adaptive_step_raw(f, t, y, tol, remaining, horizon, h_start=None, f0=None):
+def _adaptive_step_raw(f, t, y, tol, remaining, horizon, count, h_start=None, f0=None):
     """One accepted DP5(4) step from f0 = f(t, y) (computed when not
-    given); returns (y1, dt, h_next, f(t + dt, y1))."""
+    given); returns (y1, dt, h_next, f(t + dt, y1)).  The error norms
+    are means over ``count`` entries."""
     if f0 is None:
         f0 = f(t, y)
     if h_start and h_start > 0:
         h = h_start
     else:
-        h = _initial_step(f, t, y, f0, tol, remaining)
+        h = _initial_step(f, t, y, f0, tol, remaining, count)
     h = min(h, remaining)
     while True:
         if h < STEP_UNDERFLOW_FACTOR * horizon:
@@ -237,7 +266,7 @@ def _adaptive_step_raw(f, t, y, tol, remaining, horizon, h_start=None, f0=None):
                 "too stiff for the requested tolerance"
             )
         y1, err, k_last = _dp_attempt(f, t, y, f0, h)
-        measure = _error_measure(err, y, y1, tol)
+        measure = _error_measure(err, y, y1, tol, count)
         if measure <= 1.0:
             if measure == 0.0:
                 factor = MAX_STEP_GROWTH
@@ -265,7 +294,9 @@ def adaptive_solve_one_step(
     controller chose, the suggested next step size and the state's stage
     L_shape(t + dt, rho_next).  Passing that stage back as
     ``first_stage`` of the next step on the same shape saves one
-    generator application (first same as last).
+    generator application (first same as last).  On a charge sector the
+    error norms average over the base shape's entries, as if the state
+    carried its zeros outside the sector.
     """
     if rho.shape != shape:
         raise SolverError("state does not live on the integration shape")
@@ -274,7 +305,7 @@ def adaptive_solve_one_step(
     remaining = horizon - t if horizon > t else horizon
     y1, dt, h_next, stage = _adaptive_step_raw(
         gen.apply, t, np.asarray(rho.matrix), time_tol, remaining, horizon,
-        h_start, first_stage,
+        dimension(base_shape(shape)) ** 2, h_start, first_stage,
     )
     return StepResult(DenseOperator(shape, y1), dt, h_next, stage)
 
@@ -349,6 +380,26 @@ def _prepare_initial(
     raise SolverError("initial state shape is incompatible with the run shape")
 
 
+def _sector_state(model: LindbladModel, rho: DenseOperator) -> DenseOperator | None:
+    """rho restricted to the charge sector of its shape that holds all its
+    nonzero entries, when the model conserves a charge and there is one
+    such sector; otherwise None.  The restriction drops only exact
+    zeros."""
+    moduli = conserved_charges(model)
+    if moduli is None or isinstance(rho.shape, Sector):
+        return None
+    mat = np.asarray(rho.matrix)
+    nonzero = mat != 0
+    support = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
+    states = basis_map(rho.shape).states
+    residues = {charge_residues(moduli, states[i]) for i in support}
+    if len(residues) != 1:
+        return None
+    sector = Sector(rho.shape, moduli, residues.pop())
+    idx = _embedding_indices(sector, rho.shape)
+    return DenseOperator(sector, mat[np.ix_(idx, idx)])
+
+
 def _soft_state_checks(mat: np.ndarray, t: float) -> str | None:
     scale = max(float(np.linalg.norm(mat)), 1e-30)
     defect = float(np.linalg.norm(mat - mat.conj().T)) / scale
@@ -367,6 +418,9 @@ def run_fixed(
     accepted step (or the per-step time bounds when the certificate is on)."""
     ledger = EstimatorLedger.empty()
     state, ledger = _prepare_initial(rho0, shape, ledger)
+    state = _sector_state(model, state) or state
+    base = base_shape(shape)
+    shape = state.shape
     t_final = config.final_time
     records: list[TrajectoryRecord] = []
     warnings: list[str] = []
@@ -378,7 +432,7 @@ def run_fixed(
         records.append(
             TrajectoryRecord(
                 time=t,
-                dim=dimension(shape),
+                dim=dimension(base),
                 trace_re=float(np.trace(rho_mat).real),
                 xi=xi,
                 defect_rate=defect_rate,
@@ -405,7 +459,8 @@ def run_fixed(
             ledger = xi_step(ledger, t, rate, step.dt)
             log(t, rho.matrix, rate, ledger.xi)
         return RunResult(
-            DensityState(rho, t), ledger, tuple(records), tuple(warnings)
+            DensityState(embed(rho, base), t), ledger, tuple(records),
+            tuple(warnings),
         )
 
     # fixed-step schemes on a uniform grid
@@ -436,7 +491,9 @@ def run_fixed(
             ledger = xi_step(ledger, t, rate, dt)
         rho = rho_new
         log(t, rho.matrix, rate, ledger.xi)
-    return RunResult(DensityState(rho, t), ledger, tuple(records), tuple(warnings))
+    return RunResult(
+        DensityState(embed(rho, base), t), ledger, tuple(records), tuple(warnings)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -455,12 +512,13 @@ def run_adaptive(
     by grow_step and recompute the step from scratch; after an ordinary
     acceptance the state shrinks by shrink_step when the discarded tail
     fits under the budget divided by downsize_factor, the tail norm
-    being added to xi.
+    being added to xi.  ``max_dimension`` and the recorded dimensions
+    refer to the base shape when the run is on a charge sector.
     """
     if config.scheme != "adaptive_rk":
         raise SolverError("run_adaptive drives the adaptive_rk scheme")
-    shape = rho0.shape
-    rho = rho0
+    rho = _sector_state(model, rho0) or rho0
+    shape = rho.shape
     t = 0.0
     t_final = config.final_time
     ledger = EstimatorLedger.empty()
@@ -484,7 +542,7 @@ def run_adaptive(
             records.append(
                 TrajectoryRecord(
                     time=t + step.dt,
-                    dim=dimension(shape),
+                    dim=dimension(base_shape(shape)),
                     trace_re=float(np.trace(step.rho_next.matrix).real),
                     xi=ledger.xi,
                     defect_rate=rate,
@@ -493,10 +551,10 @@ def run_adaptive(
                 )
             )
             new_shape = grow(shape, config.grow_step)
-            if dimension(new_shape) > config.max_dimension:
+            if dimension(base_shape(new_shape)) > config.max_dimension:
                 raise CertificationError(
                     f"space budget unreachable: growing past "
-                    f"{dimension(shape)} exceeds max_dimension="
+                    f"{dimension(base_shape(shape))} exceeds max_dimension="
                     f"{config.max_dimension}"
                 )
             shape = new_shape
@@ -534,7 +592,7 @@ def run_adaptive(
         records.append(
             TrajectoryRecord(
                 time=t,
-                dim=dimension(shape),
+                dim=dimension(base_shape(shape)),
                 trace_re=float(np.trace(rho.matrix).real),
                 xi=ledger.xi,
                 defect_rate=rate,
@@ -543,7 +601,8 @@ def run_adaptive(
                 warning=warning,
             )
         )
-    return RunResult(DensityState(rho, t), ledger, tuple(records), tuple(warnings))
+    final = embed(rho, base_shape(shape))
+    return RunResult(DensityState(final, t), ledger, tuple(records), tuple(warnings))
 
 
 def _try_shrink(shape: TruncationShape, config: SolverConfig):

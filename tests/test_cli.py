@@ -347,6 +347,14 @@ class TestCommands:
         with pytest.raises(SolverError):
             SolverConfig(final_time=0.2, time_tol=time_tol)
 
+    def test_non_finite_horizon_exit_code_and_message(self, tmp_path, capsys):
+        # "T": NaN once took no step and certified xi = 0.0 with exit 0
+        path = write_model(tmp_path, cat_doc(T=float("nan")))
+        assert "NaN" in open(path).read()
+        assert cmd_simulate(path, str(tmp_path / "out")) == 1
+        assert "final_time must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_reproduce_list(self, capsys):
         assert main(["reproduce", "list"]) == 0
         out = capsys.readouterr().out.split()

@@ -8,10 +8,15 @@ from hypothesis import strategies as st
 from certilind.fockspace import (
     DenseOperator,
     _as_fraction,
+    _embedding_indices,
+    _grow_by_margin,
     Rect,
+    Sector,
     ShapeError,
     WeightedTotal,
+    base_shape,
     basis_map,
+    charge_residues,
     contains,
     dimension,
     embed,
@@ -100,8 +105,8 @@ class TestBasisOrder:
     def test_roundtrip_index(self):
         bm = basis_map(WeightedTotal(["1/2", "1"], 3))
         for i, s in enumerate(bm.states):
-            assert bm.index_of(s) == i
-            assert bm.multi_index_of(i) == s
+            assert bm.index[s] == i
+            assert bm.states[i] == s
 
 
 class TestContains:
@@ -255,3 +260,81 @@ def test_decimal_float_becomes_its_decimal_fraction():
     # not the exact binary value 3602879701896397/36028797018963968
     assert _as_fraction(0.1) == Fraction(1, 10)
     assert WeightedTotal([0.5, 1], 6) == WeightedTotal(["1/2", "1"], 6)
+
+
+class TestSector:
+    BASES = [Rect([7]), Rect([6, 4]), WeightedTotal(["1/2", "1"], 5), Rect([3, 2, 3])]
+
+    @staticmethod
+    def sectors(base):
+        """Every sector of the base for moduli 2 on mode 0, 0 on the last
+        mode (the occupation itself) and 3 on a middle mode."""
+        m = base.mode_count
+        moduli = [2] + [3] * max(m - 2, 0) + ([0] if m > 1 else [])
+        residues = {charge_residues(moduli, s) for s in basis_map(base).states}
+        return [Sector(base, moduli, r) for r in sorted(residues)]
+
+    @pytest.mark.parametrize("base", BASES)
+    def test_basis_is_filtered_subsequence_of_base(self, base):
+        full = basis_map(base).states
+        seen = 0
+        for sector in self.sectors(base):
+            states = basis_map(sector).states
+            assert states == tuple(s for s in full if sector.in_sector(s))
+            assert all(sector.admits(s) for s in states)
+            seen += len(states)
+        assert seen == len(full)  # the sectors partition the base
+
+    @pytest.mark.parametrize("base", BASES)
+    def test_delegates_to_base(self, base):
+        sector = self.sectors(base)[0]
+        assert sector.mode_count == base.mode_count
+        assert base_shape(sector) == base and base_shape(base) == base
+        step = 2 if isinstance(base, WeightedTotal) else 1
+        grown = Sector(grow(base, step), sector.moduli, sector.residues)
+        assert grow(sector, step) == grown
+        assert shrink(sector, step).base == shrink(base, step)
+        margin = (1,) * base.mode_count
+        assert _grow_by_margin(sector, margin).base == _grow_by_margin(base, margin)
+        assert contains(sector, grow(sector, step))
+        assert contains(sector, base)
+        assert not contains(base, sector)
+        other = self.sectors(base)[1]
+        assert not contains(sector, other)
+
+    def test_embed_and_project_follow_base_indices(self):
+        rng = np.random.default_rng(5)
+        small = Sector(Rect([5, 3]), [2, 1], [1, 0])
+        big = grow(small, 2)
+        d = dimension(small)
+        rho = DenseOperator(small, random_density(rng, d))
+        back, lost = project(embed(rho, big), small)
+        assert np.array_equal(back.matrix, rho.matrix) and lost == 0.0
+        # a sector state is its base state restricted to the sector's indices
+        full = embed(rho, small.base).matrix
+        idx = _embedding_indices(small, small.base)
+        assert np.array_equal(full[np.ix_(idx, idx)], rho.matrix)
+        assert np.count_nonzero(full) == np.count_nonzero(rho.matrix)
+
+    def test_conserved_occupation(self):
+        sector = Sector(Rect([6]), [0], [4])
+        assert basis_map(sector).states == ((4,),)
+        assert dimension(Sector(Rect([3]), [0], [4])) == 0
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (Rect([3]), [2], [2]),  # residue not below its modulus
+            (Rect([3]), [-2], [0]),
+            (Rect([3, 3]), [2], [0]),  # one modulus per mode
+            (Rect([3]), [2], [-1]),
+        ],
+    )
+    def test_invalid_charges_rejected(self, args):
+        with pytest.raises(ShapeError):
+            Sector(*args)
+
+    def test_nested_sector_rejected(self):
+        inner = Sector(Rect([3]), [2], [0])
+        with pytest.raises(ShapeError):
+            Sector(inner, [2], [0])

@@ -8,8 +8,11 @@ from certilind import lindblad
 from certilind.fockspace import (
     DenseOperator,
     Rect,
+    Sector,
     WeightedTotal,
+    _embedding_indices,
     basis_map,
+    charge_residues,
     dimension,
     embed,
     project,
@@ -22,6 +25,7 @@ from certilind.lindblad import (
     ModelError,
     PolyExpr,
     apply_truncated,
+    conserved_charges,
     growth_margin,
     grown_shape,
     truncated_expr,
@@ -36,6 +40,7 @@ from models import (
     squeezed_cat_model,
 )
 from certilind.operators import PolyOperator, trace_norm
+from certilind.presets import preset_model_file
 from oracles import lindblad_superoperator, two_sided_generator
 
 
@@ -280,3 +285,101 @@ class TestModelValidation:
         out = apply_truncated(model, 0.0, rho)
         assert abs(out.trace()) < 1e-10
 
+
+
+PARITY_PRESETS = ["adaptive1d", "adaptive2d", "exampleC", "exampleD", "exampleE"]
+
+# base shapes below SPARSE_DIM_THRESHOLD (dense products on the base and
+# its sectors) and above it (CSR products)
+SECTOR_TEST_SHAPES = {
+    "adaptive1d": (Rect([15]), Rect([140])),
+    "adaptive2d": (WeightedTotal(["1/2", "1"], 6), WeightedTotal(["1/2", "1"], 12)),
+    "exampleC": (Rect([40]), Rect([140])),
+    "exampleD": (Rect([40]), Rect([140])),
+    "exampleE": (Rect([8, 4]), Rect([16, 8])),
+}
+
+
+def preset_sectors(model, base):
+    moduli = conserved_charges(model)
+    residues = {charge_residues(moduli, s) for s in basis_map(base).states}
+    return [Sector(base, moduli, r) for r in sorted(residues)]
+
+
+def sector_density(rng, sector):
+    """A random density matrix on ``sector`` and the same state on its base."""
+    rho = random_density(rng, dimension(sector))
+    idx = _embedding_indices(sector, sector.base)
+    full = np.zeros((dimension(sector.base),) * 2, dtype=complex)
+    full[np.ix_(idx, idx)] = rho
+    return rho, full, idx
+
+
+class TestConservedCharges:
+    @pytest.mark.parametrize(
+        "name, moduli",
+        [
+            ("adaptive1d", (2,)),
+            ("adaptive2d", (2, 1)),
+            ("exampleC", (2,)),
+            ("exampleD", (2,)),
+            ("exampleE", (2, 1)),
+            ("exampleA", None),
+            ("exampleB", None),
+            ("gkp", None),
+        ],
+    )
+    def test_presets(self, name, moduli):
+        assert conserved_charges(preset_model_file(name).build().model) == moduli
+
+    def test_conserved_occupation_and_cosine(self):
+        h = PolyExpr(PolyOperator.creator(1, 0) * PolyOperator.annihilator(1, 0))
+        closed = LindbladModel(1, hamiltonian=((CoefficientFn.constant(1.0), h),))
+        assert conserved_charges(closed) == (0,)
+        assert conserved_charges(cosine_hamiltonian_model([1.0])) is None
+        assert conserved_charges(number_drive_model(1.0)) is None  # the loss a0
+
+
+class TestSectorOperators:
+    @pytest.mark.parametrize("name", PARITY_PRESETS)
+    def test_materialize_equals_full_block(self, name):
+        built = preset_model_file(name).build()
+        model = built.model
+        exprs = [e for _, e in model.hamiltonian] + list(model.dissipators)
+        for base in (built.shape, grown_shape(model, built.shape)):
+            for sector in preset_sectors(model, base):
+                idx = _embedding_indices(sector, base)
+                outside = np.setdiff1d(np.arange(dimension(base)), idx)
+                for expr in exprs:
+                    full = truncated_expr(expr, base).matrix
+                    block = truncated_expr(expr, sector).matrix
+                    assert block.tobytes() == full[np.ix_(idx, idx)].tobytes()
+                    # the sector's columns reach no state outside it
+                    assert not full[np.ix_(outside, idx)].any()
+
+    @pytest.mark.parametrize("name", PARITY_PRESETS)
+    @pytest.mark.parametrize("sparse_size", [False, True])
+    def test_apply_and_defect_equal_full(self, name, sparse_size):
+        from certilind.estimators import model_space_defect
+
+        built = preset_model_file(name).build()
+        model = built.model
+        base = SECTOR_TEST_SHAPES[name][sparse_size]
+        rng = np.random.default_rng(17)
+        for sector in preset_sectors(model, base)[:2]:
+            rho, full, idx = sector_density(rng, sector)
+            gen = lindblad.shaped_generator(model, sector)
+            assert gen.use_sparse == sparse_size
+            for t in (0.0, 0.1):
+                applied = gen.apply(t, rho)
+                applied_full = lindblad.shaped_generator(model, base).apply(t, full)
+                block = applied_full[np.ix_(idx, idx)]
+                if sparse_size:
+                    assert np.array_equal(applied, block)
+                else:
+                    np.testing.assert_allclose(applied, block, rtol=0, atol=1e-13)
+                applied_full[np.ix_(idx, idx)] = 0.0
+                assert not applied_full.any()  # nothing leaves the sector
+                rate = model_space_defect(model, t, DenseOperator(sector, rho), applied)
+                rate_full = model_space_defect(model, t, DenseOperator(base, full))
+                assert rate == pytest.approx(rate_full, rel=1e-12, abs=1e-14)

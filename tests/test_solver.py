@@ -1,12 +1,25 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 from certilind import estimators, lindblad, solver
-from certilind.fockspace import DenseOperator, Rect, dimension
-from certilind.lindblad import CoefficientFn, LindbladModel, grown_shape
+from certilind.fockspace import (
+    DenseOperator,
+    Rect,
+    Sector,
+    WeightedTotal,
+    basis_map,
+    dimension,
+)
+from certilind.lindblad import (
+    CoefficientFn,
+    LindbladModel,
+    conserved_charges,
+    grown_shape,
+)
 from models import (
     cat_buffer_model,
     cat_model,
@@ -14,6 +27,7 @@ from models import (
     number_drive_model,
 )
 from certilind.operators import fock_density, trace_norm
+from certilind.presets import preset_model_file
 from certilind.solver import (
     CertificationError,
     SolverConfig,
@@ -321,7 +335,8 @@ class TestRunAdaptive:
 
 class TestFirstSameAsLast:
     """One DP5 step reuses its last stage as the next step's first stage
-    and as L_N(rho) inside the defect."""
+    and as L_N(rho) inside the defect.  Both models conserve a charge, so
+    every application runs on the vacuum's charge sector."""
 
     @pytest.mark.parametrize(
         "model, shape, t_final",
@@ -371,8 +386,11 @@ class TestFirstSameAsLast:
         config = SolverConfig(final_time=t_final, time_tol=1e-10)
         rho0 = fock_density(shape, [0] * shape.mode_count)
         result = run_fixed(model, rho0, shape, config)
-        d = dimension(shape)
-        d_big = dimension(grown_shape(model, shape))
+        # the vacuum lies in the sector of zero charges, where the run goes
+        sector = Sector(shape, conserved_charges(model), [0] * shape.mode_count)
+        d = dimension(sector)
+        d_big = dimension(grown_shape(model, sector))
+        assert d < dimension(shape)
         assert len(steps) >= 3
         assert all(calls == [d] * 6 for calls in attempts)
         first_calls, first_tries = steps[0]
@@ -387,6 +405,145 @@ class TestFirstSameAsLast:
             assert rate == defect(model, t, rho)
         final = result.final.rho.matrix
         assert np.array_equal(final, final.conj().T)
+
+
+class TestInvalidConfig:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("final_time", math.nan),
+            ("final_time", math.inf),
+            ("final_time", -math.inf),
+            ("space_tol", math.nan),
+            ("space_tol", math.inf),
+            ("downsize_factor", math.nan),
+            ("downsize_factor", math.inf),
+            ("dt", math.nan),
+            ("dt", math.inf),
+            ("dt", -math.inf),
+            ("time_tol", math.nan),
+            ("time_tol", math.inf),
+            ("max_dimension", 0),
+            ("max_dimension", -4),
+        ],
+    )
+    def test_rejected(self, field, value):
+        kwargs = {"final_time": 1.0, field: value}
+        if field == "dt":
+            kwargs["scheme"] = "rk4"
+        with pytest.raises(SolverError, match=field):
+            SolverConfig(**kwargs)
+
+
+def forced_full(monkeypatch, run):
+    """``run()`` with the charge-sector path switched off."""
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "_sector_state", lambda model, rho: None)
+        return run()
+
+
+def assert_same_run(sector_run, full_run):
+    final, full_final = sector_run.final.rho, full_run.final.rho
+    assert final.shape == full_final.shape
+    assert np.abs(final.matrix - full_final.matrix).max() <= 1e-13
+    assert sector_run.xi == pytest.approx(full_run.xi, rel=1e-10, abs=1e-15)
+    for column in ("dim", "resize"):
+        assert [getattr(r, column) for r in sector_run.trajectory] == [
+            getattr(r, column) for r in full_run.trajectory
+        ]
+    assert sector_run.final.time == full_run.final.time
+
+
+class TestChargeSectorRuns:
+    """A vacuum start of a parity-conserving model runs on the even sector
+    and reproduces the run on the full shape."""
+
+    @pytest.mark.parametrize(
+        "model, shape, t_final",
+        [
+            (cat_model(1.0), Rect([16]), 0.5),
+            (cat_buffer_model(1.0), Rect([12, 6]), 0.1),
+        ],
+    )
+    def test_run_fixed_matches_full_shape(self, monkeypatch, model, shape, t_final):
+        rho0 = fock_density(shape, [0] * shape.mode_count)
+        sector_state = solver._sector_state(model, rho0)
+        assert dimension(sector_state.shape) < dimension(shape)
+        config = SolverConfig(final_time=t_final, time_tol=1e-11)
+        run = lambda: run_fixed(model, rho0, shape, config)  # noqa: E731
+        assert_same_run(run(), forced_full(monkeypatch, run))
+
+    @pytest.mark.parametrize(
+        "model, start, config",
+        [
+            (
+                cat_model(1.0),
+                Rect([6]),
+                SolverConfig(
+                    final_time=1.0, time_tol=1e-12, space_tol=1e-9, max_dimension=256
+                ),
+            ),
+            (
+                cat_model(1.0),
+                Rect([30]),
+                SolverConfig(
+                    final_time=1.0, time_tol=1e-12, space_tol=1e-9, max_dimension=512
+                ),
+            ),
+            (
+                cat_buffer_model(1.0),
+                WeightedTotal(["1/2", "1"], 3),
+                SolverConfig(
+                    final_time=0.4, time_tol=1e-11, space_tol=1e-7, grow_step=2,
+                    shrink_step=2, max_dimension=2000,
+                ),
+            ),
+        ],
+    )
+    def test_run_adaptive_matches_full_shape(self, monkeypatch, model, start, config):
+        rho0 = fock_density(start, [0] * start.mode_count)
+        run = lambda: run_adaptive(model, rho0, config)  # noqa: E731
+        sector_run, full_run = run(), forced_full(monkeypatch, run)
+        assert_same_run(sector_run, full_run)
+        resizes = {r.resize for r in sector_run.trajectory}
+        assert resizes & {"grow", "shrink"}
+
+    def test_max_dimension_counts_base_states(self):
+        # the even sector of Rect([10]) has 6 states, the base 11
+        config = SolverConfig(
+            final_time=1.0, time_tol=1e-10, space_tol=1e-13, max_dimension=12
+        )
+        with pytest.raises(CertificationError, match="growing past 11"):
+            run_adaptive(cat_model(2.0), fock_density(Rect([6]), [0]), config)
+
+    @pytest.mark.parametrize("case", ["two_sectors", "exampleA", "gkp"])
+    def test_full_path_unchanged(self, monkeypatch, case):
+        if case == "two_sectors":
+            model, shape = cat_buffer_model(1.0), Rect([8, 4])
+            psi = np.zeros(dimension(shape))
+            psi[[0, basis_map(shape).index[(1, 0)]]] = 1 / math.sqrt(2)
+            rho0 = DenseOperator(shape, np.outer(psi, psi))
+            config = SolverConfig(final_time=0.05, time_tol=1e-10)
+        else:
+            built = preset_model_file(case).build()
+            model, shape, rho0 = built.model, built.shape, built.initial
+            config = replace(built.config, final_time=0.01)
+            if case == "gkp":
+                config = replace(config, dt=0.005)
+        assert solver._sector_state(model, rho0) is None
+        dims = set()
+        apply = lindblad._ShapedGenerator.apply
+
+        def recording_apply(gen, t, rho):
+            dims.add(gen.dim)
+            return apply(gen, t, rho)
+
+        monkeypatch.setattr(lindblad._ShapedGenerator, "apply", recording_apply)
+        result = run_fixed(model, rho0, shape, config)
+        assert min(dims) == dimension(shape)  # and the defect's grown shape
+        full = forced_full(monkeypatch, lambda: run_fixed(model, rho0, shape, config))
+        assert np.array_equal(result.final.rho.matrix, full.final.rho.matrix)
+        assert result.xi == full.xi
 
 
 class TestCsvWriters:
