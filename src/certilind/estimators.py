@@ -32,6 +32,7 @@ from .lindblad import (
     _fock_rotation_phase,
     _gkp_q_poly,
     _hermitian_part,
+    _off_class_mask,
     grown_shape,
     shaped_generator,
 )
@@ -240,10 +241,17 @@ def model_space_defect(
     total = 0.0
     if model.kind == "gkp":
         # each rotated dissipator: the base-sector functional of the
-        # rotated state
+        # rotated state.  On a rotation-invariant state the rotation
+        # multiplies every nonzero entry by a phase that is exactly 1, so
+        # every sector of an (A, eta, eps) takes sector 0's value
+        invariant = not mat[_off_class_mask(rho.shape)].any()
+        values = {}
         for diss in model.dissipators:
-            ctx = _gkp_context(diss.amplitude, diss.eta, diss.eps, rho.shape)
-            total += ctx.sector_defect(mat, diss.sector)
+            key = (diss.amplitude, diss.eta, diss.eps, 0 if invariant else diss.sector)
+            if key not in values:
+                ctx = _gkp_context(diss.amplitude, diss.eta, diss.eps, rho.shape)
+                values[key] = ctx.sector_defect(mat, key[3])
+            total += values[key]
         return total
     # cosine Hamiltonian terms: commutator bound 2 |u| ||(cos O - (cos O)_N) rho||
     for coeff, expr in model.hamiltonian:
@@ -267,10 +275,19 @@ def unitary_offblock_norm(u: np.ndarray, m: np.ndarray, rows=None) -> float:
     own by the triangle inequality, so the value is exact without
     ``rows``.
     """
-    radicand = m.conj().T @ (np.eye(m.shape[0]) - u.conj().T @ u) @ m
-    total = tr_sqrt_psd(radicand)
+    return _offblock_norm(u, np.eye(m.shape[0]) - u.conj().T @ u, m, rows)
+
+
+def _offblock_norm(u: np.ndarray, kernel: np.ndarray, m: np.ndarray, rows) -> float:
+    """``unitary_offblock_norm`` with its kernel Id - u^dag u given."""
+    total = tr_sqrt_psd(m.conj().T @ kernel @ m)
     if rows is not None:
-        total += float(np.linalg.svd((u @ m)[rows, :], compute_uv=False).sum())
+        block = u[rows] @ m
+        # a single row's trace norm is its Euclidean norm
+        if block.shape[0] == 1:
+            total += float(np.linalg.norm(block))
+        else:
+            total += float(np.linalg.svd(block, compute_uv=False).sum())
     return total
 
 
@@ -319,6 +336,15 @@ class _GkpContext:
         z = self.q.conj().T @ (u1.conj().T @ s2)
         z[self.dim :, :] = 0.0  # leading P_N
         self.a2_kernel = qdq - z
+        # t1 = tr(Q rho Q^dag) - tr(P_N U Q rho Q^dag U^dag P_N) = Re tr(T rho)
+        # with T = Q^dag (Id - U^dag P_N U) Q on the shape, stored transposed
+        u_n = self.u2[: self.dim]
+        t = self.q.conj().T @ (np.eye(self.dim2) - u_n.conj().T @ u_n) @ self.q
+        self.t1_kernel = np.ascontiguousarray(t[np.ix_(self.pos, self.pos)].T)
+        # Id - W^dag W of the two truncated unitaries of the off-block terms
+        eye1 = np.eye(self.w1.shape[0])
+        self.w1_kernel = eye1 - self.w1.conj().T @ self.w1
+        self.w1_dag_kernel = eye1 - self.w1_dag.conj().T @ self.w1_dag
 
     def sector_defect(self, rho: np.ndarray, sector: int) -> float:
         if sector % 4:
@@ -326,27 +352,25 @@ class _GkpContext:
             rho = (r.conj()[:, None] * rho) * r[None, :]
         emb = _embed_array(rho, self.pos, self.dim2)
 
-        x = self.q @ emb @ self.q.conj().T  # Q rho Q^dag, exact, on g1
-        uxu = self.u2 @ x @ self.u2.conj().T
-        t1 = float(
-            np.trace(x).real - np.trace(uxu[: self.dim, : self.dim]).real
-        )
-        t1 = max(t1, 0.0)
+        t1 = max(float((self.t1_kernel * rho).sum().real), 0.0)
 
         # the off-block terms ||P_N_perp W M||_1 have M supported on g1,
         # where U_(N+1) is the exact truncation of W
+        m_uq = self.q @ emb  # Q rho, exact, on g1
+        x = m_uq @ self.q.conj().T  # Q rho Q^dag
         m_cross = x @ self.u2.conj().T
         m_cross[:, self.dim :] = 0.0  # right factor U^dag P_N
-        t2 = 2.0 * unitary_offblock_norm(self.w1, m_cross[self.g1], self.beyond)
+        t2 = 2.0 * _offblock_norm(
+            self.w1, self.w1_kernel, m_cross[self.g1], self.beyond
+        )
 
         t3 = float(np.linalg.svd(self.a2_kernel @ emb, compute_uv=False).sum())
 
-        m_uq = self.q @ emb  # Q rho, exact, on g1
-        t4 = unitary_offblock_norm(self.w1, m_uq[self.g1], self.beyond)
+        t4 = _offblock_norm(self.w1, self.w1_kernel, m_uq[self.g1], self.beyond)
 
         m_v = self.v @ emb
-        t5 = self.amplitude * unitary_offblock_norm(
-            self.w1_dag, m_v[self.g1], self.beyond
+        t5 = self.amplitude * _offblock_norm(
+            self.w1_dag, self.w1_dag_kernel, m_v[self.g1], self.beyond
         )
 
         return t1 + t2 + t3 + t4 + t5

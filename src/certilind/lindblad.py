@@ -267,6 +267,19 @@ def _single_mode_caps(shape: TruncationShape) -> np.ndarray:
     return basis_map(shape).occupations(0)
 
 
+@lru_cache(maxsize=64)
+def _off_class_mask(shape: TruncationShape) -> np.ndarray:
+    """Read-only mask of the entries (m, n) with m - n not divisible by 4.
+
+    A rotation-invariant state, R rho R^dag = rho, holds exact zeros
+    there: R^k rho R^-k multiplies entry (m, n) by i^(k (m - n)).
+    """
+    occ = _single_mode_caps(shape)
+    mask = (occ[:, None] - occ[None, :]) % 4 != 0
+    mask.setflags(write=False)
+    return mask
+
+
 @lru_cache(maxsize=256)
 def _gkp_truncated_gamma(
     amplitude: float, eta: float, eps: float, sector: int, shape: TruncationShape
@@ -361,6 +374,7 @@ class _ShapedGenerator:
                 self.h_diag.append((coeff, diag[:, None] - diag[None, :]))
             else:
                 self.half_terms.append((coeff, -1j, factor(h)))
+        gdgs = []
         for expr in model.dissipators:
             g = factor(truncated_expr(expr, shape).matrix)
             self.jumps.append(g)
@@ -369,11 +383,13 @@ class _ShapedGenerator:
                 gdg.sort_indices()
             else:
                 gdg = g.conj().T @ g
+            gdgs.append(gdg)
             kdiag = _diagonal_of(gdg)
             if kdiag is not None:
                 self.k_grids.append(-0.5 * (kdiag[:, None] + kdiag[None, :]))
             else:
                 self.half_terms.append((None, -0.5, gdg))
+        self.orbits = _rotation_orbits(model, shape, self.jumps, gdgs)
 
     def apply(self, t: float, rho: np.ndarray) -> np.ndarray:
         """L_N(t, rho) for a Hermitian ``rho``.
@@ -382,7 +398,26 @@ class _ShapedGenerator:
         -i[H, rho] = Z + Z^dag for Z = -i H rho, -(1/2){K, rho} = Y + Y^dag
         for Y = -(1/2) K rho, and G rho G^dag = G (G rho)^dag.  On a
         non-Hermitian ``rho`` the result is not L_N(t, rho).
+
+        A GKP model whose dissipators form full rotation orbits maps a
+        rotation-invariant ``rho`` (exact zeros off the classes m = n
+        mod 4) to -(1/2){K, rho} + sum_orbits w Gamma_0 rho Gamma_0^dag
+        with the off-class entries set to zero: the orbit sum of
+        R^k X R^-k is 4 X on the classes and 0 off them.
         """
+        if self.orbits is not None:
+            mask, k_sum, reps = self.orbits
+            if not rho[mask].any():
+                half = k_sum @ rho
+                half *= -0.5
+                out = _adjoint(half)
+                out += half
+                for weight, g in reps:
+                    jump = g @ _adjoint(g @ rho)
+                    jump *= weight
+                    out += jump
+                out[mask] = 0.0
+                return out
         half = None  # sum of the Z and Y terms
         for coeff, scale, op in self.half_terms:
             if coeff is not None:
@@ -413,6 +448,30 @@ class _ShapedGenerator:
         for grid in self.k_grids:
             out += grid * rho
         return out
+
+
+def _rotation_orbits(model: LindbladModel, shape: TruncationShape, jumps, gdgs):
+    """(off-class mask, K = sum Gamma_k^dag Gamma_k, [(4 m, Gamma_0)]) when
+    the model's GKP dissipators form full rotation orbits, else None.
+
+    Full orbits: every (A, eta, eps) appears in each sector 0..3 equally
+    often, m times; its sector-0 jump then stands for the 4 m jumps of
+    its orbit on rotation-invariant states.
+    """
+    if model.kind != "gkp":
+        return None
+    counts: dict[tuple, list[int]] = {}
+    for expr in model.dissipators:
+        key = (expr.amplitude, expr.eta, expr.eps)
+        counts.setdefault(key, [0, 0, 0, 0])[expr.sector] += 1
+    if any(min(c) != max(c) for c in counts.values()):
+        return None
+    reps = {}
+    for expr, g in zip(model.dissipators, jumps):
+        key = (expr.amplitude, expr.eta, expr.eps)
+        if expr.sector == 0:
+            reps.setdefault(key, (4.0 * counts[key][0], g))
+    return _off_class_mask(shape), sum(gdgs[1:], gdgs[0]), list(reps.values())
 
 
 @lru_cache(maxsize=64)

@@ -20,6 +20,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -120,6 +121,12 @@ class SolverConfig:
             raise SolverError("space_tol must be positive")
         if self.downsize_factor <= 1:
             raise SolverError("downsize_factor must exceed 1")
+        for name in ("grow_step", "shrink_step"):
+            if not _valid_resize_step(getattr(self, name)):
+                raise SolverError(
+                    f"{name} must be a positive number, or per-mode steps that "
+                    f"are all >= 0 with one > 0, got {getattr(self, name)!r}"
+                )
         if self.max_dimension < 1:
             raise SolverError(
                 f"max_dimension must be at least 1, got {self.max_dimension}"
@@ -129,6 +136,17 @@ class SolverConfig:
                 "the time certificate is available for the taylor and euler "
                 "schemes only"
             )
+
+
+def _valid_resize_step(step) -> bool:
+    """A finite grow or shrink step that moves at least one mode and none
+    backwards: a number, a rational string, or one entry per mode."""
+    try:
+        value = float(Fraction(step) if isinstance(step, str) else step)
+    except TypeError:  # one entry per mode
+        entries = [float(e) for e in step]
+        return all(0 <= e < math.inf for e in entries) and any(e > 0 for e in entries)
+    return 0 < value < math.inf
 
 
 @dataclass(frozen=True)
@@ -551,6 +569,11 @@ def run_adaptive(
                 )
             )
             new_shape = grow(shape, config.grow_step)
+            if new_shape == shape:
+                raise CertificationError(
+                    f"grow_step={config.grow_step!r} does not enlarge "
+                    f"{base_shape(shape)}"
+                )
             if dimension(base_shape(new_shape)) > config.max_dimension:
                 raise CertificationError(
                     f"space budget unreachable: growing past "
@@ -607,9 +630,10 @@ def run_adaptive(
 
 def _try_shrink(shape: TruncationShape, config: SolverConfig):
     try:
-        return shrink(shape, config.shrink_step)
+        shrunk = shrink(shape, config.shrink_step)
     except ShapeError:
         return None
+    return shrunk if shrunk != shape else None
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ __all__ = [
     "squeezed_cat_model",
     "cat_buffer_model",
     "gkp_model",
+    "gkp_terms_model",
     "cosine_hamiltonian_model",
 ]
 
@@ -123,6 +124,11 @@ def gkp_model(amplitude: float = 1.0, eta: float | None = None, eps: float = 0.1
         dissipators=diss,
         parameters=(("A", float(amplitude)), ("eta", float(eta)), ("eps", float(eps))),
     )
+
+
+def gkp_terms_model(*terms) -> LindbladModel:
+    """GKP dissipators from (A, eta, eps, sector) tuples, in that order."""
+    return LindbladModel(1, dissipators=tuple(GkpDissipator(*t) for t in terms))
 
 
 def cosine_hamiltonian_model(

@@ -191,3 +191,20 @@ def lindblad_superoperator(model, t, shape) -> np.ndarray:
         sup += np.kron(g, g.conj())
         sup -= 0.5 * (np.kron(gdg, eye) + np.kron(eye, gdg.T))
     return sup
+
+
+def rotation_invariant_density(rng, dim) -> np.ndarray:
+    """A random single-mode density matrix with R rho R^dag = rho for the
+    Fock rotation R = diag(i^n): its entries (m, n) with m - n not
+    divisible by 4 are exact zeros (the pinching of a random density)."""
+    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    rho = a @ a.conj().T
+    rho[off_class(dim)] = 0.0
+    return rho / np.trace(rho).real
+
+
+def off_class(dim) -> np.ndarray:
+    """Mask of the entries (m, n), m - n not divisible by 4, of a
+    single-mode operator on occupations 0..dim-1."""
+    occ = np.arange(dim)
+    return (occ[:, None] - occ[None, :]) % 4 != 0

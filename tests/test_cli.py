@@ -355,6 +355,19 @@ class TestCommands:
         assert "final_time must be finite" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("key, value", [("grow_step", 0), ("shrink_step", -2)])
+    def test_invalid_resize_step_exit_code_and_message(
+        self, tmp_path, capsys, key, value
+    ):
+        # a zero grow step never reaches max_dimension, so the run would
+        # not end; both must fail before the first step
+        doc = cat_doc(cap=6, T=1.0, space_tol=1e-30, adaptive_space=True)
+        doc["solver"][key] = value
+        path = write_model(tmp_path, doc)
+        assert cmd_simulate(path, str(tmp_path / "out")) == 1
+        assert f"{key} must be a positive number" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_reproduce_list(self, capsys):
         assert main(["reproduce", "list"]) == 0
         out = capsys.readouterr().out.split()
@@ -445,13 +458,14 @@ def test_import_leaves_scipy_linear_algebra_unloaded():
     assert out.stdout.strip() == "[]"
 
 
-def test_bench_tracing_hooks_attach():
-    # the benchmark's per-module metrics wrap these names from outside;
-    # a rename, or a materialize_poly without its lru_cache, drops spans
+def traced_run_report(run_code):
+    """Steps and span categories of ``run_code`` (which sets ``result``)
+    run in a fresh process under the benchmark's tracer."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(certilind.__file__)))
     perfbench = os.path.join(os.path.dirname(src), "perfbench")
-    code = """
+    code = f"""
 import json, tracing
+from dataclasses import replace
 from certilind.fockspace import Rect
 from certilind.operators import fock_density
 from certilind.presets import preset_model_file
@@ -459,12 +473,9 @@ from certilind.solver import SolverConfig, run_fixed
 
 tracer = tracing.Tracer()
 tracing.install(tracer)
-model = preset_model_file("exampleA").build().model
-shape = Rect([5])
-config = SolverConfig(final_time=0.01, time_tol=1e-10)
-result = run_fixed(model, fock_density(shape, [3]), shape, config)
-print(json.dumps({"steps": len(result.trajectory),
-                  "spans": sorted({s[0] for s in tracer.spans})}))
+{run_code}
+print(json.dumps({{"steps": len(result.trajectory),
+                  "spans": sorted({{s[0] for s in tracer.spans}})}}))
 """
     out = subprocess.run(
         [sys.executable, "-c", code],
@@ -473,7 +484,20 @@ print(json.dumps({"steps": len(result.trajectory),
         text=True,
         check=True,
     )
-    report = json.loads(out.stdout.strip().splitlines()[-1])
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def test_bench_tracing_hooks_attach():
+    # the benchmark's per-module metrics wrap these names from outside;
+    # a rename, or a materialize_poly without its lru_cache, drops spans
+    report = traced_run_report(
+        """
+model = preset_model_file("exampleA").build().model
+shape = Rect([5])
+config = SolverConfig(final_time=0.01, time_tol=1e-10)
+result = run_fixed(model, fock_density(shape, [3]), shape, config)
+"""
+    )
     assert report["steps"] >= 2
     assert {
         "operators.materialize",
@@ -482,5 +506,25 @@ print(json.dumps({"steps": len(result.trajectory),
         "estimators.defect",
         "estimators.context_build",
         "estimators.ledger",
+        "solver.step",
+    } <= set(report["spans"])
+
+
+def test_bench_tracing_hooks_attach_gkp():
+    # the GKP route: the generator's rotation-orbit branch inside apply,
+    # the stabilizer context and its defect, under RK4
+    report = traced_run_report(
+        """
+built = preset_model_file("gkp", cap=8).build()
+config = replace(built.config, final_time=4 * built.config.dt)
+result = run_fixed(built.model, built.initial, built.shape, config)
+"""
+    )
+    assert report["steps"] == 4
+    assert {
+        "lindblad.apply",
+        "lindblad.generator_build",
+        "estimators.context_build",
+        "estimators.defect",
         "solver.step",
     } <= set(report["spans"])

@@ -28,6 +28,7 @@ from models import (
     cat_buffer_model,
     cat_model,
     gkp_model,
+    gkp_terms_model,
     linear_drive_model,
     number_drive_model,
     squeezed_cat_model,
@@ -45,6 +46,7 @@ from oracles import (
     defect_drive_closed_form,
     dissipator_defect_blocks,
     lindblad_superoperator,
+    rotation_invariant_density,
     two_sided_generator,
 )
 
@@ -288,6 +290,58 @@ class TestGkpBound:
         assert np.allclose(vals, vals[0], rtol=1e-9)
         total = model_space_defect(gkp_model(1.0, eta, eps), 0.0, rho)
         assert np.isclose(total, sum(vals))
+
+
+def per_sector_defect(model, rho):
+    """The GKP bound as the sum over dissipators of each one's sector
+    functional, with no sector shared."""
+    from certilind.estimators import _gkp_context
+
+    total = 0.0
+    for d in model.dissipators:
+        ctx = _gkp_context(d.amplitude, d.eta, d.eps, rho.shape)
+        total += ctx.sector_defect(rho.matrix, d.sector)
+    return total
+
+
+class TestGkpInvariantDefect:
+    """On a rotation-invariant state each (A, eta, eps) is evaluated once."""
+
+    MODELS = {
+        "preset": gkp_model(1.0, ETA_GRID, 0.15),
+        "two_orbits": gkp_terms_model(
+            *[(0.8, ETA_GRID, 0.3, k) for k in (3, 1, 2, 0)],
+            *[(1.0, ETA_GRID, 0.15, k) for k in range(4)],
+        ),
+        "sectors_013": gkp_terms_model(
+            *[(1.0, ETA_GRID, 0.15, k) for k in (0, 1, 3)],
+            (0.8, ETA_GRID, 0.3, 2),
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    @pytest.mark.parametrize("cap", [10, 30])
+    def test_equals_per_sector_sum(self, name, cap):
+        model = self.MODELS[name]
+        shape = Rect([cap])
+        rng = np.random.default_rng(cap + 1)
+        states = [
+            rotation_invariant_density(rng, cap + 1),  # one sector per key
+            fock_density(shape, [0]).matrix,
+            random_density(rng, cap + 1),  # every sector
+        ]
+        for mat in states:
+            rho = DenseOperator(shape, np.asarray(mat, dtype=complex))
+            assert model_space_defect(model, 0.0, rho) == per_sector_defect(model, rho)
+
+    def test_sectors_agree_on_invariant_state(self):
+        from certilind.estimators import _gkp_context
+
+        shape = Rect([30])
+        rho = rotation_invariant_density(np.random.default_rng(5), 31)
+        ctx = _gkp_context(1.0, ETA_GRID, 0.15, shape)
+        values = [ctx.sector_defect(rho, k) for k in range(4)]
+        assert values == [values[0]] * 4
 
 
 def gkp_brute_force_defect(amplitude, eta, eps, rho, n_big):

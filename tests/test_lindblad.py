@@ -35,13 +35,19 @@ from models import (
     cat_model,
     cosine_hamiltonian_model,
     gkp_model,
+    gkp_terms_model,
     linear_drive_model,
     number_drive_model,
     squeezed_cat_model,
 )
 from certilind.operators import PolyOperator, trace_norm
 from certilind.presets import preset_model_file
-from oracles import lindblad_superoperator, two_sided_generator
+from oracles import (
+    lindblad_superoperator,
+    off_class,
+    rotation_invariant_density,
+    two_sided_generator,
+)
 
 
 def random_density(rng, dim):
@@ -383,3 +389,85 @@ class TestSectorOperators:
                 rate = model_space_defect(model, t, DenseOperator(sector, rho), applied)
                 rate_full = model_space_defect(model, t, DenseOperator(base, full))
                 assert rate == pytest.approx(rate_full, rel=1e-12, abs=1e-14)
+
+
+ETA = 2.0 * math.sqrt(math.pi)
+# full rotation orbits: each (A, eta, eps) in every sector equally often
+ORBIT_MODELS = {
+    "preset": gkp_model(1.0, ETA, 0.15),
+    "two_orbits": gkp_terms_model(
+        *[(0.8, ETA, 0.3, k) for k in (3, 1, 2, 0)],
+        *[(1.0, ETA, 0.15, k) for k in range(4)],
+    ),
+    "doubled": gkp_terms_model(*[(1.0, ETA, 0.15, k % 4) for k in range(8)]),
+}
+INCOMPLETE_ORBITS = {
+    "sectors_01": gkp_terms_model((1.0, ETA, 0.15, 0), (1.0, ETA, 0.15, 1)),
+    "sector_0_twice": gkp_terms_model(
+        *[(1.0, ETA, 0.15, k) for k in (0, 0, 1, 2, 3)]
+    ),
+}
+
+
+def four_jump_generator(model, shape):
+    """The generator of ``model`` with the rotation-orbit path switched off."""
+    gen = lindblad._ShapedGenerator(model, shape)
+    gen.orbits = None
+    return gen
+
+
+def coherent_superposition(dim):
+    psi = np.zeros(dim, dtype=complex)
+    psi[[0, 1]] = 1 / math.sqrt(2)
+    return np.outer(psi, psi.conj())
+
+
+class TestRotationOrbits:
+    """A GKP model whose dissipators form full rotation orbits applies one
+    jump sandwich per orbit to a rotation-invariant state."""
+
+    @pytest.mark.parametrize("name", sorted(ORBIT_MODELS))
+    @pytest.mark.parametrize("cap", [10, 30, 70])  # 70: CSR products
+    def test_invariant_apply_equals_four_jumps(self, name, cap):
+        model = ORBIT_MODELS[name]
+        shape = Rect([cap])
+        gen = lindblad._ShapedGenerator(model, shape)
+        assert gen.orbits is not None
+        assert gen.use_sparse == (cap == 70)
+        full = four_jump_generator(model, shape)
+        rng = np.random.default_rng(cap)
+        mask = off_class(cap + 1)
+        for _ in range(3):
+            rho = rotation_invariant_density(rng, cap + 1)
+            out = gen.apply(0.0, rho)
+            assert not out[mask].any()
+            oracle = two_sided_generator(model, 0.0, shape, rho)
+            for ref in (full.apply(0.0, rho), oracle):
+                scale = np.abs(ref).max()
+                np.testing.assert_allclose(out, ref, rtol=0, atol=1e-13 * scale)
+
+    @pytest.mark.parametrize("cap", [10, 30])
+    def test_non_invariant_state_takes_full_path(self, cap):
+        model = ORBIT_MODELS["two_orbits"]
+        shape = Rect([cap])
+        gen = lindblad._ShapedGenerator(model, shape)
+        full = four_jump_generator(model, shape)
+        rng = np.random.default_rng(7)
+        for rho in (coherent_superposition(cap + 1), random_density(rng, cap + 1)):
+            assert np.array_equal(gen.apply(0.0, rho), full.apply(0.0, rho))
+
+    @pytest.mark.parametrize("name", sorted(INCOMPLETE_ORBITS))
+    def test_incomplete_orbits_take_full_path(self, name):
+        model = INCOMPLETE_ORBITS[name]
+        shape = Rect([12])
+        gen = lindblad._ShapedGenerator(model, shape)
+        assert gen.orbits is None
+        rho = rotation_invariant_density(np.random.default_rng(3), 13)
+        out = gen.apply(0.0, rho)
+        np.testing.assert_allclose(
+            out, two_sided_generator(model, 0.0, shape, rho), rtol=0, atol=1e-13
+        )
+
+    def test_polynomial_models_have_no_orbits(self):
+        for model in (cat_model(1.0), number_drive_model(1.0)):
+            assert lindblad._ShapedGenerator(model, Rect([8])).orbits is None

@@ -425,6 +425,17 @@ class TestInvalidConfig:
             ("time_tol", math.inf),
             ("max_dimension", 0),
             ("max_dimension", -4),
+            ("grow_step", 0),
+            ("grow_step", -4),
+            ("grow_step", math.nan),
+            ("grow_step", math.inf),
+            ("grow_step", [0, 0]),
+            ("grow_step", [4, -1]),
+            ("grow_step", []),
+            ("shrink_step", 0),
+            ("shrink_step", -2),
+            ("shrink_step", [0]),
+            ("shrink_step", "-1/2"),
         ],
     )
     def test_rejected(self, field, value):
@@ -433,6 +444,27 @@ class TestInvalidConfig:
             kwargs["scheme"] = "rk4"
         with pytest.raises(SolverError, match=field):
             SolverConfig(**kwargs)
+
+    @pytest.mark.parametrize("value", [1, 0.5, "1/2", [0, 3], (2, 2)])
+    def test_resize_steps_accepted(self, value):
+        config = SolverConfig(final_time=1.0, grow_step=value, shrink_step=value)
+        assert config.grow_step == value
+
+    def test_grow_without_growth_fails_certification(self):
+        # a fractional step grows a Rect by int(0.5) = 0 modes
+        config = SolverConfig(
+            final_time=1.0, time_tol=1e-10, space_tol=1e-13, grow_step=0.5
+        )
+        with pytest.raises(CertificationError, match="does not enlarge"):
+            run_adaptive(cat_model(2.0), fock_density(Rect([6]), [0]), config)
+
+    def test_shrink_without_shrinking_is_skipped(self):
+        config = SolverConfig(
+            final_time=0.2, time_tol=1e-10, space_tol=1e-2, shrink_step=0.5
+        )
+        result = run_adaptive(cat_model(1.0), fock_density(Rect([20]), [0]), config)
+        assert all(r.resize == "none" for r in result.trajectory)
+        assert not any(e.kind == "shrink_jump" for e in result.ledger.entries)
 
 
 def forced_full(monkeypatch, run):
@@ -542,6 +574,65 @@ class TestChargeSectorRuns:
         result = run_fixed(model, rho0, shape, config)
         assert min(dims) == dimension(shape)  # and the defect's grown shape
         full = forced_full(monkeypatch, lambda: run_fixed(model, rho0, shape, config))
+        assert np.array_equal(result.final.rho.matrix, full.final.rho.matrix)
+        assert result.xi == full.xi
+
+
+def forced_four_sectors(monkeypatch, run):
+    """``run()`` with the GKP rotation-orbit generator path and the shared
+    per-sector defect values switched off."""
+    lindblad.shaped_generator.cache_clear()
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(lindblad, "_rotation_orbits", lambda *args: None)
+            patch.setattr(
+                estimators,
+                "_off_class_mask",
+                lambda shape: np.ones((dimension(shape),) * 2, dtype=bool),
+            )
+            return run()
+    finally:
+        lindblad.shaped_generator.cache_clear()
+
+
+class TestRotationInvariantGkpRuns:
+    """A vacuum start of the four-sector GKP preset stays rotation-invariant
+    and reproduces the run that applies all four jumps and sums all four
+    sector bounds."""
+
+    @staticmethod
+    def preset(scheme):
+        built = preset_model_file("gkp", cap=12).build()
+        config = built.config
+        if scheme == "rk4":
+            config = replace(config, final_time=config.final_time / 10)
+        else:
+            config = SolverConfig(final_time=0.5, time_tol=1e-10)
+        return built.model, built.shape, config
+
+    @pytest.mark.parametrize("scheme", ["rk4", "adaptive_rk"])
+    def test_vacuum_run_matches_four_sectors(self, monkeypatch, scheme):
+        model, shape, config = self.preset(scheme)
+        rho0 = fock_density(shape, [0])
+        run = lambda: run_fixed(model, rho0, shape, config)  # noqa: E731
+        result, full = run(), forced_four_sectors(monkeypatch, run)
+        occ = np.arange(dimension(shape))
+        off_class = (occ[:, None] - occ[None, :]) % 4 != 0
+        assert not result.final.rho.matrix[off_class].any()
+        assert len(result.trajectory) == len(full.trajectory) > 10
+        diff = result.final.rho.matrix - full.final.rho.matrix
+        assert np.abs(diff).max() <= 1e-13
+        assert result.xi == pytest.approx(full.xi, rel=1e-9)
+
+    @pytest.mark.parametrize("scheme", ["rk4", "adaptive_rk"])
+    def test_coherent_start_unchanged(self, monkeypatch, scheme):
+        model, shape, config = self.preset(scheme)
+        config = replace(config, final_time=config.final_time / 5)
+        psi = np.zeros(dimension(shape), dtype=complex)
+        psi[[0, 1]] = 1 / math.sqrt(2)
+        rho0 = DenseOperator(shape, np.outer(psi, psi.conj()))
+        run = lambda: run_fixed(model, rho0, shape, config)  # noqa: E731
+        result, full = run(), forced_four_sectors(monkeypatch, run)
         assert np.array_equal(result.final.rho.matrix, full.final.rho.matrix)
         assert result.xi == full.xi
 
