@@ -35,9 +35,11 @@ from .lindblad import (
     _off_class_mask,
     grown_shape,
     shaped_generator,
+    truncated_expr,
 )
 from .operators import (
     PolyOperator,
+    _hermitian_eigvalsh,
     cosine_unitary_pair,
     displacement_block,
     displacement_q,
@@ -136,7 +138,7 @@ def xi_step(
 
 
 # ---------------------------------------------------------------------------
-# PSD square-root traces and structured Hermitian trace norms
+# PSD square-root traces and Hermitian trace norms
 # ---------------------------------------------------------------------------
 
 
@@ -147,8 +149,7 @@ def tr_sqrt_psd(mat: np.ndarray, floor: float = RADICAND_EIG_FLOOR) -> float:
     below the floor signals an input that is not a truncated-unitary
     radicand and raises.
     """
-    sym = 0.5 * (mat + mat.conj().T)
-    eigs = np.linalg.eigvalsh(sym)
+    eigs = _hermitian_eigvalsh(mat)
     scale = max(1.0, float(np.abs(eigs).max(initial=0.0)))
     if eigs.size and eigs.min() < floor * scale:
         raise EstimatorError(
@@ -158,33 +159,7 @@ def tr_sqrt_psd(mat: np.ndarray, floor: float = RADICAND_EIG_FLOOR) -> float:
 
 
 def _hermitian_trace_norm(mat: np.ndarray) -> float:
-    sym = 0.5 * (mat + mat.conj().T)
-    return float(np.abs(np.linalg.eigvalsh(sym)).sum())
-
-
-def _structured_defect_norm(
-    delta: np.ndarray, pos_in: np.ndarray, pos_out: np.ndarray
-) -> float:
-    """Trace norm of a Hermitian defect on a grown shape.
-
-    Commutator-only defects are block-anti-diagonal, so their norm is
-    2 sum svd of the off block, far cheaper at reference sizes than a
-    full eigendecomposition.  Diagonal blocks that are pure float residue
-    enter through the triangle inequality with the rank-bounded estimate
-    ||A||_1 <= sqrt(dim) ||A||_F; the fast path is taken only while that
-    certified slack is negligible relative to the off-block value.
-    """
-    if pos_out.size:
-        inner = delta[np.ix_(pos_in, pos_in)]
-        outer = delta[np.ix_(pos_out, pos_out)]
-        slack = math.sqrt(inner.shape[0]) * float(np.linalg.norm(inner))
-        slack += math.sqrt(outer.shape[0]) * float(np.linalg.norm(outer))
-        off_value = 2.0 * float(
-            np.linalg.svd(delta[np.ix_(pos_out, pos_in)], compute_uv=False).sum()
-        )
-        if slack <= 1e-13 * off_value:
-            return off_value + slack
-    return _hermitian_trace_norm(delta)
+    return float(np.abs(_hermitian_eigvalsh(mat)).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -193,27 +168,42 @@ def _structured_defect_norm(
 
 
 class _DefectContext:
-    def __init__(self, model: LindbladModel, shape: TruncationShape):
-        self.shape = shape
-        self.big = grown_shape(model, shape)
-        self.pos = _embedding_indices(shape, self.big)
-        self.perp = _complement_indices(shape, self.big)
-        self.gen_big = shaped_generator(model, self.big)
-        self.gen_small = shaped_generator(model, shape)
-        self.dim_big = dimension(self.big)
+    """The defect D = (L - L_N) rho of a polynomial model, from one
+    application of the generator on the margin-grown shape.
 
-    def defect(
-        self, t: float, rho: np.ndarray, applied: np.ndarray | None = None
-    ) -> float:
-        """||(L - L_N) rho||_1; ``applied`` is L_N(t, rho) when the caller
-        already holds it, so that only the grown-shape generator runs."""
+    With P the shape and P_perp the rest of the grown shape, the grown
+    generator gives the off blocks and the outer block of D exactly.
+    Its inner block is -(1/2)(B rho + rho B), B = sum_k C_k^dag C_k for
+    the boundary jumps C_k = P_perp Gamma_k P; when every C_k is zero,
+    so are both diagonal blocks, and ||D||_1 is twice the singular-value
+    sum of the off block.
+    """
+
+    def __init__(self, model: LindbladModel, shape: TruncationShape):
+        big = grown_shape(model, shape)
+        self.pos = _embedding_indices(shape, big)
+        self.perp = _complement_indices(shape, big)
+        self.gen_big = shaped_generator(model, big)
+        self.dim_big = dimension(big)
+        self.boundary = None  # B, None when every C_k is zero
+        for expr in model.dissipators:
+            c = truncated_expr(expr, big).matrix[np.ix_(self.perp, self.pos)]
+            if c.any():
+                b = c.conj().T @ c
+                self.boundary = b if self.boundary is None else self.boundary + b
+
+    def defect(self, t: float, rho: np.ndarray) -> float:
+        """||(L - L_N) rho||_1 for a Hermitian ``rho`` on the shape."""
         if self.perp.size == 0:
             return 0.0
         delta = self.gen_big.apply(t, _embed_array(rho, self.pos, self.dim_big))
-        if applied is None:
-            applied = self.gen_small.apply(t, rho)
-        delta[np.ix_(self.pos, self.pos)] -= applied
-        return _structured_defect_norm(delta, self.pos, self.perp)
+        if self.boundary is None:
+            off = delta[np.ix_(self.perp, self.pos)]
+            return 2.0 * float(np.linalg.svd(off, compute_uv=False).sum())
+        half = self.boundary @ rho
+        half *= -0.5
+        delta[np.ix_(self.pos, self.pos)] = half + half.conj().T
+        return _hermitian_trace_norm(delta)
 
 
 @lru_cache(maxsize=64)
@@ -221,23 +211,15 @@ def _defect_context(model: LindbladModel, shape: TruncationShape) -> _DefectCont
     return _DefectContext(model, shape)
 
 
-def model_space_defect(
-    model: LindbladModel,
-    t: float,
-    rho: DenseOperator,
-    applied: np.ndarray | None = None,
-) -> float:
+def model_space_defect(model: LindbladModel, t: float, rho: DenseOperator) -> float:
     """Certified bound on ||(L - L_N) rho||_1 for any supported model kind.
 
     Polynomial models get the exact value, computed on the margin-grown
-    shape; ``applied``, when given, is L_N(t, rho) as already computed
-    (for instance the last stage of the time step that produced rho), so
-    that only the grown-shape generator runs.  The GKP and cosine routes
-    do not need it.
+    shape (see ``_DefectContext``).
     """
     mat = np.asarray(rho.matrix)
     if model.kind == "poly":
-        return _defect_context(model, rho.shape).defect(t, mat, applied)
+        return _defect_context(model, rho.shape).defect(t, mat)
     total = 0.0
     if model.kind == "gkp":
         # each rotated dissipator: the base-sector functional of the

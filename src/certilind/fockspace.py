@@ -290,11 +290,6 @@ class DenseOperator:
         object.__setattr__(self, "matrix", arr)
 
     @classmethod
-    def zeros(cls, shape: TruncationShape) -> "DenseOperator":
-        d = dimension(shape)
-        return cls(shape, np.zeros((d, d), dtype=np.complex128))
-
-    @classmethod
     def identity(cls, shape: TruncationShape) -> "DenseOperator":
         return cls(shape, np.eye(dimension(shape), dtype=np.complex128))
 
@@ -302,35 +297,8 @@ class DenseOperator:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def dag(self) -> "DenseOperator":
-        return DenseOperator(self.shape, self.matrix.conj().T)
-
     def trace(self) -> complex:
         return complex(np.trace(self.matrix))
-
-    def _check_same(self, other: "DenseOperator"):
-        if self.shape != other.shape:
-            raise ShapeError("operators live on different shapes")
-
-    def __add__(self, other: "DenseOperator") -> "DenseOperator":
-        self._check_same(other)
-        return DenseOperator(self.shape, self.matrix + other.matrix)
-
-    def __sub__(self, other: "DenseOperator") -> "DenseOperator":
-        self._check_same(other)
-        return DenseOperator(self.shape, self.matrix - other.matrix)
-
-    def __neg__(self) -> "DenseOperator":
-        return DenseOperator(self.shape, -self.matrix)
-
-    def __mul__(self, scalar) -> "DenseOperator":
-        return DenseOperator(self.shape, self.matrix * scalar)
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other: "DenseOperator") -> "DenseOperator":
-        self._check_same(other)
-        return DenseOperator(self.shape, self.matrix @ other.matrix)
 
 
 def _embed_array(mat: np.ndarray, pos: np.ndarray, dim: int) -> np.ndarray:
@@ -367,15 +335,36 @@ def project(
     return DenseOperator(shape_small, sub), nrm
 
 
-def _step_vector(shape: Rect, step) -> tuple[int, ...]:
-    """Per-mode increments of a grow or shrink step on a Rect: one per
-    mode, or a scalar applied to every mode."""
+def resize_step_fractions(step):
+    """A grow or shrink step as exact rationals: a tuple for per-mode
+    steps, one Fraction otherwise.  Both the solver's check of a step and
+    grow and shrink convert through here, so they agree on its value
+    (a float below 5e-13 is 0)."""
     if isinstance(step, Iterable) and not isinstance(step, (str, bytes)):
-        inc = tuple(int(s) for s in step)
-        if len(inc) != len(shape.caps):
-            raise ShapeError("per-mode step length does not match mode count")
+        return tuple(_as_fraction(s) for s in step)
+    return _as_fraction(step)
+
+
+def _resize_increment(shape: TruncationShape, step):
+    """The increment that a grow or shrink step makes on a shape's base:
+    whole per-mode increments on a Rect (a scalar applies to every mode),
+    one rational cap increment on a WeightedTotal.  A step the base does
+    not take raises ShapeError."""
+    shape = base_shape(shape)
+    inc = resize_step_fractions(step)
+    if isinstance(shape, WeightedTotal):
+        if isinstance(inc, tuple):
+            raise ShapeError(
+                f"a WeightedTotal takes one cap step, not per-mode steps {step!r}"
+            )
         return inc
-    return (int(step),) * len(shape.caps)
+    if not isinstance(inc, tuple):
+        inc = (inc,) * shape.mode_count
+    elif len(inc) != shape.mode_count:
+        raise ShapeError("per-mode step length does not match mode count")
+    if any(s.denominator != 1 for s in inc):
+        raise ShapeError(f"a Rect takes whole steps, got {step!r}")
+    return tuple(int(s) for s in inc)
 
 
 def grow(shape: TruncationShape, step) -> TruncationShape:
@@ -383,12 +372,11 @@ def grow(shape: TruncationShape, step) -> TruncationShape:
     the cap, a Sector grows its base."""
     if isinstance(shape, Sector):
         return shape.with_base(grow(shape.base, step))
+    inc = _resize_increment(shape, step)
     if isinstance(shape, Rect):
-        inc = _step_vector(shape, step)
         if any(s < 0 for s in inc):
             raise ShapeError("grow step must be non-negative")
         return Rect([c + s for c, s in zip(shape.caps, inc)])
-    inc = _as_fraction(step)
     if inc < 0:
         raise ShapeError("grow step must be non-negative")
     return WeightedTotal(shape.weights, shape.cap + inc)
@@ -398,13 +386,12 @@ def shrink(shape: TruncationShape, step) -> TruncationShape:
     """Mirror of grow; errors if any cap would become negative."""
     if isinstance(shape, Sector):
         return shape.with_base(shrink(shape.base, step))
+    dec = _resize_increment(shape, step)
     if isinstance(shape, Rect):
-        inc = _step_vector(shape, step)
-        new_caps = tuple(c - s for c, s in zip(shape.caps, inc))
+        new_caps = tuple(c - s for c, s in zip(shape.caps, dec))
         if any(c < 0 for c in new_caps):
             raise ShapeError(f"shrink would drop a cap below zero: {new_caps}")
         return Rect(new_caps)
-    dec = _as_fraction(step)
     new_cap = shape.cap - dec
     if new_cap < 0:
         raise ShapeError(f"shrink would drop the cap below zero: {new_cap}")

@@ -26,7 +26,6 @@ from .fockspace import (
     TruncationShape,
     _embedding_indices,
     _grow_by_margin,
-    base_shape,
     basis_map,
     dimension,
     grow,
@@ -349,16 +348,14 @@ class _ShapedGenerator:
     sparse-times-dense path), and diagonal operators collapse to fused
     broadcast updates.  Ladder-polynomial operators are banded, so this
     cuts the cost of one generator application by an order of magnitude
-    at reference sizes.  A charge sector takes the form its base shape
-    takes, so its products round as the base shape's do on the sector
-    block.
+    at reference sizes.
     """
 
     def __init__(self, model: LindbladModel, shape: TruncationShape):
         self.model = model
         self.shape = shape
         self.dim = dimension(shape)
-        self.use_sparse = dimension(base_shape(shape)) >= SPARSE_DIM_THRESHOLD
+        self.use_sparse = self.dim >= SPARSE_DIM_THRESHOLD
 
         def factor(mat):
             return sparse.csr_matrix(mat) if self.use_sparse else mat

@@ -391,9 +391,13 @@ def trace_norm(op, hermitian: bool = False) -> float:
             raise OperatorError(
                 f"matrix flagged Hermitian has relative defect {defect / max(scale, 1e-30):.3e}"
             )
-        sym = 0.5 * (mat + mat.conj().T)
-        return float(np.abs(np.linalg.eigvalsh(sym)).sum())
+        return float(np.abs(_hermitian_eigvalsh(mat)).sum())
     return float(np.linalg.svd(mat, compute_uv=False).sum())
+
+
+def _hermitian_eigvalsh(mat: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the Hermitian part (mat + mat^dag) / 2, ascending."""
+    return np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))
 
 
 def herm_part(op: DenseOperator) -> DenseOperator:

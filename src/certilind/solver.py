@@ -20,7 +20,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -38,6 +37,7 @@ from .fockspace import (
     ShapeError,
     TruncationShape,
     _embedding_indices,
+    _resize_increment,
     base_shape,
     basis_map,
     charge_residues,
@@ -46,6 +46,7 @@ from .fockspace import (
     embed,
     grow,
     project,
+    resize_step_fractions,
     shrink,
 )
 from .lindblad import (
@@ -139,14 +140,16 @@ class SolverConfig:
 
 
 def _valid_resize_step(step) -> bool:
-    """A finite grow or shrink step that moves at least one mode and none
-    backwards: a number, a rational string, or one entry per mode."""
+    """A finite grow or shrink step that, as the exact rational that grow
+    and shrink take, moves at least one mode and none backwards: a
+    number, a rational string, or one entry per mode.  Whether the shape
+    takes it is checked by run_adaptive."""
     try:
-        value = float(Fraction(step) if isinstance(step, str) else step)
-    except TypeError:  # one entry per mode
-        entries = [float(e) for e in step]
-        return all(0 <= e < math.inf for e in entries) and any(e > 0 for e in entries)
-    return 0 < value < math.inf
+        value = resize_step_fractions(step)
+    except (TypeError, ValueError, OverflowError):  # not a finite number
+        return False
+    entries = value if isinstance(value, tuple) else (value,)
+    return all(e >= 0 for e in entries) and any(e > 0 for e in entries)
 
 
 @dataclass(frozen=True)
@@ -473,7 +476,7 @@ def run_fixed(
             t += step.dt
             h_next = step.h_next
             stage = step.last_stage
-            rate = model_space_defect(model, t, rho, stage)
+            rate = model_space_defect(model, t, rho)
             ledger = xi_step(ledger, t, rate, step.dt)
             log(t, rho.matrix, rate, ledger.xi)
         return RunResult(
@@ -531,12 +534,20 @@ def run_adaptive(
     acceptance the state shrinks by shrink_step when the discarded tail
     fits under the budget divided by downsize_factor, the tail norm
     being added to xi.  ``max_dimension`` and the recorded dimensions
-    refer to the base shape when the run is on a charge sector.
+    refer to the base shape when the run is on a charge sector.  A
+    resize step the shape does not take (not whole on a Rect, per-mode
+    of the wrong length or on a WeightedTotal) raises SolverError before
+    the first step.
     """
     if config.scheme != "adaptive_rk":
         raise SolverError("run_adaptive drives the adaptive_rk scheme")
     rho = _sector_state(model, rho0) or rho0
     shape = rho.shape
+    for name in ("grow_step", "shrink_step"):
+        try:
+            _resize_increment(shape, getattr(config, name))
+        except ShapeError as exc:
+            raise SolverError(f"{name}: {exc}") from exc
     t = 0.0
     t_final = config.final_time
     ledger = EstimatorLedger.empty()
@@ -553,7 +564,7 @@ def run_adaptive(
             model, shape, rho, t, config.time_tol, horizon=t_final,
             h_start=h_next, first_stage=stage,
         )
-        rate = model_space_defect(model, t + step.dt, step.rho_next, step.last_stage)
+        rate = model_space_defect(model, t + step.dt, step.rho_next)
         d_xi = step.dt * rate
         while ledger.xi + d_xi >= budget(t + step.dt):
             # rejected: grow and recompute until the budget admits the step
@@ -569,11 +580,6 @@ def run_adaptive(
                 )
             )
             new_shape = grow(shape, config.grow_step)
-            if new_shape == shape:
-                raise CertificationError(
-                    f"grow_step={config.grow_step!r} does not enlarge "
-                    f"{base_shape(shape)}"
-                )
             if dimension(base_shape(new_shape)) > config.max_dimension:
                 raise CertificationError(
                     f"space budget unreachable: growing past "
@@ -586,9 +592,7 @@ def run_adaptive(
             step = adaptive_solve_one_step(
                 model, shape, rho, t, config.time_tol, horizon=t_final, h_start=h_next
             )
-            rate = model_space_defect(
-                model, t + step.dt, step.rho_next, step.last_stage
-            )
+            rate = model_space_defect(model, t + step.dt, step.rho_next)
             d_xi = step.dt * rate
         # accepted
         rho = step.rho_next
@@ -630,10 +634,9 @@ def run_adaptive(
 
 def _try_shrink(shape: TruncationShape, config: SolverConfig):
     try:
-        shrunk = shrink(shape, config.shrink_step)
+        return shrink(shape, config.shrink_step)
     except ShapeError:
         return None
-    return shrunk if shrunk != shape else None
 
 
 # ---------------------------------------------------------------------------

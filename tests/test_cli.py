@@ -368,6 +368,24 @@ class TestCommands:
         assert f"{key} must be a positive number" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "doc, key, value, message",
+        [
+            (cat_doc(cap=6), "grow_step", 1.7, "a Rect takes whole steps"),
+            (cat_doc(cap=6), "grow_step", "7/2", "a Rect takes whole steps"),
+            (cat_doc(cap=6), "shrink_step", 0.5, "a Rect takes whole steps"),
+            (PRESETS["adaptive2d"](), "grow_step", [2, 1], "a WeightedTotal takes one cap"),
+        ],
+    )
+    def test_resize_step_the_shape_does_not_take(
+        self, tmp_path, capsys, doc, key, value, message
+    ):
+        doc["solver"].update({"T": 0.1, "adaptive_space": True, key: value})
+        path = write_model(tmp_path, doc)
+        assert cmd_simulate(path, str(tmp_path / "out")) == 1
+        assert f"{key}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_reproduce_list(self, capsys):
         assert main(["reproduce", "list"]) == 0
         out = capsys.readouterr().out.split()

@@ -4,6 +4,7 @@ import time
 import numpy as np
 import pytest
 
+from certilind import estimators
 from certilind.estimators import (
     EstimatorError,
     EstimatorLedger,
@@ -22,6 +23,7 @@ from certilind.lindblad import (
     GkpDissipator,
     LindbladModel,
     grown_shape,
+    shaped_generator,
     truncated_expr,
 )
 from models import (
@@ -41,6 +43,7 @@ from certilind.operators import (
     materialize_poly,
     trace_norm,
 )
+from certilind.presets import preset_model_file
 from oracles import (
     defect_cat_closed_form,
     defect_drive_closed_form,
@@ -56,6 +59,16 @@ ETA_GRID = 2.0 * math.sqrt(math.pi)
 def random_density(rng, dim):
     a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     rho = a @ a.conj().T
+    return rho / np.trace(rho).real
+
+
+def decaying_density(rng, dim):
+    """A random density matrix whose populations fall like exp(-n): a tail
+    far below the bulk, as in a converged run."""
+    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    a *= np.exp(-0.5 * np.arange(dim))[:, None]
+    rho = a @ a.conj().T
+    rho = 0.5 * (rho + rho.conj().T)
     return rho / np.trace(rho).real
 
 
@@ -147,6 +160,34 @@ class TestSpaceDefectGeneric:
             rho = DenseOperator(Rect([n]), random_density(rng, n + 1))
             val = model_space_defect(model, 0.0, rho)
             assert np.isfinite(val) and val >= 0.0
+
+    @pytest.mark.parametrize("name", ["exampleC", "exampleD"])
+    def test_defect_across_the_storage_threshold(self, monkeypatch, name):
+        # the shape is dense below cap 63 and its grown shape (cap + 4)
+        # is CSR from cap 59 up; the defect takes one grown-shape
+        # application and subtracts nothing, so the two storages cannot
+        # round apart in it
+        eig_calls = []
+        full_eig = estimators._hermitian_trace_norm
+
+        def counting_eig(mat):
+            eig_calls.append(mat.shape)
+            return full_eig(mat)
+
+        monkeypatch.setattr(estimators, "_hermitian_trace_norm", counting_eig)
+        model = preset_model_file(name).build().model
+        (gamma,) = model.dissipators
+        rng = np.random.default_rng(58)
+        for cap in range(58, 64):
+            shape = Rect([cap])
+            big = shaped_generator(model, grown_shape(model, shape))
+            assert big.use_sparse == (cap >= 59)
+            rho = DenseOperator(shape, decaying_density(rng, cap + 1))
+            got = model_space_defect(model, 0.0, rho)
+            want = dissipator_defect_blocks(gamma.poly, rho)
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+        # a^2 - alpha^2 takes no state across the cut: off blocks only
+        assert (eig_calls == []) == (name == "exampleC")
 
 
 class TestClosedForms:

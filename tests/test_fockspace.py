@@ -232,6 +232,25 @@ class TestGrowShrink:
         with pytest.raises(ShapeError, match="per-mode step length"):
             resize(Rect([4, 4]), step)
 
+    @pytest.mark.parametrize("resize", [grow, shrink])
+    @pytest.mark.parametrize("step", [0.5, 1.7, "7/2", Fraction(7, 2), (2, 0.5)])
+    def test_rect_steps_are_whole(self, resize, step):
+        with pytest.raises(ShapeError, match="whole steps"):
+            resize(Rect([4, 4]), step)
+
+    def test_whole_step_forms(self):
+        for step in (2, 2.0, "2", Fraction(2), (2, 2), [2.0, 2]):
+            assert grow(Rect([4, 4]), step) == Rect([6, 6])
+            assert shrink(Rect([4, 4]), step) == Rect([2, 2])
+
+    @pytest.mark.parametrize("resize", [grow, shrink])
+    def test_weighted_takes_one_cap_step(self, resize):
+        shape = WeightedTotal(["1/2", "1"], 4)
+        with pytest.raises(ShapeError, match="per-mode steps"):
+            resize(shape, (1, 1))
+        with pytest.raises(ShapeError, match="per-mode steps"):
+            resize(Sector(shape, (2, 0), (0, 0)), (1, 1))
+
 
 @settings(max_examples=50, deadline=None)
 @given(

@@ -295,8 +295,8 @@ class TestModelValidation:
 
 PARITY_PRESETS = ["adaptive1d", "adaptive2d", "exampleC", "exampleD", "exampleE"]
 
-# base shapes below SPARSE_DIM_THRESHOLD (dense products on the base and
-# its sectors) and above it (CSR products)
+# base shapes whose sectors lie below SPARSE_DIM_THRESHOLD (dense
+# products) and above it (CSR products)
 SECTOR_TEST_SHAPES = {
     "adaptive1d": (Rect([15]), Rect([140])),
     "adaptive2d": (WeightedTotal(["1/2", "1"], 6), WeightedTotal(["1/2", "1"], 12)),
@@ -386,7 +386,7 @@ class TestSectorOperators:
                     np.testing.assert_allclose(applied, block, rtol=0, atol=1e-13)
                 applied_full[np.ix_(idx, idx)] = 0.0
                 assert not applied_full.any()  # nothing leaves the sector
-                rate = model_space_defect(model, t, DenseOperator(sector, rho), applied)
+                rate = model_space_defect(model, t, DenseOperator(sector, rho))
                 rate_full = model_space_defect(model, t, DenseOperator(base, full))
                 assert rate == pytest.approx(rate_full, rel=1e-12, abs=1e-14)
 

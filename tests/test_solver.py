@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -334,9 +335,10 @@ class TestRunAdaptive:
 
 
 class TestFirstSameAsLast:
-    """One DP5 step reuses its last stage as the next step's first stage
-    and as L_N(rho) inside the defect.  Both models conserve a charge, so
-    every application runs on the vacuum's charge sector."""
+    """One DP5 step reuses its last stage as the next step's first stage,
+    and each defect takes one grown-shape application.  Both models
+    conserve a charge, so every application runs on the vacuum's charge
+    sector."""
 
     @pytest.mark.parametrize(
         "model, shape, t_final",
@@ -349,7 +351,7 @@ class TestFirstSameAsLast:
         applies = []  # dimension of every generator application, in order
         attempts = []  # applications made inside each DP attempt
         steps = []  # (applications, attempts) of each accepted step
-        defects = []  # (t, rho, applied, rate, applications) of each defect
+        defects = []  # (t, rho, rate, applications) of each defect
 
         apply = lindblad._ShapedGenerator.apply
         attempt = solver._dp_attempt
@@ -372,10 +374,10 @@ class TestFirstSameAsLast:
             steps.append((applies[before:], len(attempts) - tries))
             return out
 
-        def counting_defect(model_, t, rho, applied=None):
+        def counting_defect(model_, t, rho):
             before = len(applies)
-            rate = defect(model_, t, rho, applied)
-            defects.append((t, rho, applied, rate, applies[before:]))
+            rate = defect(model_, t, rho)
+            defects.append((t, rho, rate, applies[before:]))
             return rate
 
         monkeypatch.setattr(lindblad._ShapedGenerator, "apply", counting_apply)
@@ -398,9 +400,8 @@ class TestFirstSameAsLast:
         for calls, tries in steps[1:]:
             assert calls == [d] * (6 * tries)
         assert len(defects) == len(steps)
-        for t, rho, applied, rate, calls in defects:
+        for t, rho, rate, calls in defects:
             assert calls == [d_big]
-            assert applied is not None
             assert np.array_equal(rho.matrix, rho.matrix.conj().T)
             assert rate == defect(model, t, rho)
         final = result.final.rho.matrix
@@ -436,6 +437,12 @@ class TestInvalidConfig:
             ("shrink_step", -2),
             ("shrink_step", [0]),
             ("shrink_step", "-1/2"),
+            # below 5e-13 a float step is 0 as the rational that grow takes
+            ("grow_step", 1e-13),
+            ("grow_step", [1e-13, 0]),
+            ("shrink_step", 1e-13),
+            ("grow_step", "abc"),
+            ("grow_step", ["1/2", None]),
         ],
     )
     def test_rejected(self, field, value):
@@ -445,26 +452,39 @@ class TestInvalidConfig:
         with pytest.raises(SolverError, match=field):
             SolverConfig(**kwargs)
 
-    @pytest.mark.parametrize("value", [1, 0.5, "1/2", [0, 3], (2, 2)])
+    @pytest.mark.parametrize("value", [1, 0.5, "1/2", [0, 3], (2, 2), ["1/2", 1]])
     def test_resize_steps_accepted(self, value):
         config = SolverConfig(final_time=1.0, grow_step=value, shrink_step=value)
         assert config.grow_step == value
 
-    def test_grow_without_growth_fails_certification(self):
-        # a fractional step grows a Rect by int(0.5) = 0 modes
-        config = SolverConfig(
-            final_time=1.0, time_tol=1e-10, space_tol=1e-13, grow_step=0.5
-        )
-        with pytest.raises(CertificationError, match="does not enlarge"):
-            run_adaptive(cat_model(2.0), fock_density(Rect([6]), [0]), config)
+    @pytest.mark.parametrize(
+        "field, value, shape, match",
+        [
+            ("grow_step", 0.5, Rect([6]), "whole steps"),
+            ("grow_step", 1.7, Rect([6]), "whole steps"),
+            ("grow_step", Fraction(7, 2), Rect([6]), "whole steps"),
+            ("shrink_step", 0.5, Rect([6]), "whole steps"),
+            ("grow_step", [2, 0.5], Rect([6, 3]), "whole steps"),
+            ("grow_step", [2, 1, 1], Rect([6, 3]), "per-mode step length"),
+            ("shrink_step", [2], Rect([6, 3]), "per-mode step length"),
+            ("grow_step", [2, 1], WeightedTotal(["1/2", "1"], 4), "per-mode steps"),
+            ("shrink_step", [1, 1], WeightedTotal(["1/2", "1"], 4), "per-mode steps"),
+        ],
+    )
+    def test_resize_step_the_shape_does_not_take(
+        self, monkeypatch, field, value, shape, match
+    ):
+        # rejected before the first step, and not as a certification failure
+        def no_step(*args, **kwargs):
+            raise AssertionError("a step was taken")
 
-    def test_shrink_without_shrinking_is_skipped(self):
-        config = SolverConfig(
-            final_time=0.2, time_tol=1e-10, space_tol=1e-2, shrink_step=0.5
-        )
-        result = run_adaptive(cat_model(1.0), fock_density(Rect([20]), [0]), config)
-        assert all(r.resize == "none" for r in result.trajectory)
-        assert not any(e.kind == "shrink_jump" for e in result.ledger.entries)
+        monkeypatch.setattr(solver, "adaptive_solve_one_step", no_step)
+        model = cat_model(2.0) if shape.mode_count == 1 else cat_buffer_model(1.0)
+        config = SolverConfig(final_time=1.0, time_tol=1e-10, **{field: value})
+        rho0 = fock_density(shape, [0] * shape.mode_count)
+        with pytest.raises(SolverError, match=f"{field}: .*{match}") as info:
+            run_adaptive(model, rho0, config)
+        assert not isinstance(info.value, CertificationError)
 
 
 def forced_full(monkeypatch, run):
