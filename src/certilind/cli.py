@@ -17,7 +17,7 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
+from dataclasses import asdict, replace
 from fractions import Fraction
 
 from .fockspace import Rect, WeightedTotal, contains, dimension, embed
@@ -87,6 +87,7 @@ def _write_outputs(out_dir: str, built: BuiltModel, result, wall: float) -> None
         "space_tol": built.config.space_tol,
         "wall_time_s": wall,
         "warnings": list(result.warnings),
+        "frame": asdict(result.frame),
     }
     _atomic_write(
         os.path.join(out_dir, "summary.json"),

@@ -29,10 +29,11 @@ from .lindblad import (
     CoefficientFn,
     LindbladModel,
     ModelError,
-    _fock_rotation_phase,
     _gkp_q_poly,
     _hermitian_part,
     _off_class_mask,
+    _real_form,
+    gauge_phases,
     grown_shape,
     shaped_generator,
     truncated_expr,
@@ -176,7 +177,9 @@ class _DefectContext:
     Its inner block is -(1/2)(B rho + rho B), B = sum_k C_k^dag C_k for
     the boundary jumps C_k = P_perp Gamma_k P; when every C_k is zero,
     so are both diagonal blocks, and ||D||_1 is twice the singular-value
-    sum of the off block.
+    sum of the off block.  B is real when the jumps are real or purely
+    imaginary (``_real_form``), so a real ``rho`` keeps every product and
+    the eigensolve real.
     """
 
     def __init__(self, model: LindbladModel, shape: TruncationShape):
@@ -188,6 +191,7 @@ class _DefectContext:
         self.boundary = None  # B, None when every C_k is zero
         for expr in model.dissipators:
             c = truncated_expr(expr, big).matrix[np.ix_(self.perp, self.pos)]
+            c = _real_form(c)[0]
             if c.any():
                 b = c.conj().T @ c
                 self.boundary = b if self.boundary is None else self.boundary + b
@@ -309,7 +313,7 @@ class _GkpContext:
         )
         self.v = materialize_poly(v_poly, g2).matrix
         self.amplitude = amplitude
-        self.occ = basis_map(shape).occupations(0)
+        self.shape = shape
         # state-independent kernel of the Q^dag Q mismatch term
         uq = u1 @ self.q
         uq[:, self.dim :] = 0.0  # U_(N+1) Q P_N
@@ -330,7 +334,7 @@ class _GkpContext:
 
     def sector_defect(self, rho: np.ndarray, sector: int) -> float:
         if sector % 4:
-            r = _fock_rotation_phase(self.occ, sector)
+            r = gauge_phases(self.shape, (sector,))
             rho = (r.conj()[:, None] * rho) * r[None, :]
         emb = _embed_array(rho, self.pos, self.dim2)
 

@@ -275,13 +275,17 @@ def _complement_indices(
 
 @dataclass(frozen=True, eq=False)
 class DenseOperator:
-    """Complex matrix over the basis of an explicit truncation shape."""
+    """Real or complex matrix over the basis of an explicit truncation
+    shape: a real input (bool, integer or float) is stored as float64,
+    any other as complex128.  The solver keeps a state real when it
+    integrates in a real gauge (``lindblad.real_gauge``)."""
 
     shape: TruncationShape
     matrix: np.ndarray
 
     def __init__(self, shape: TruncationShape, matrix):
-        arr = np.array(matrix, dtype=np.complex128, order="C")
+        arr = np.array(matrix, order="C")
+        arr = arr.astype(np.complex128 if np.iscomplexobj(arr) else np.float64, copy=False)
         d = dimension(shape)
         if arr.shape != (d, d):
             raise ShapeError(f"matrix shape {arr.shape} does not match dimension {d}")
@@ -302,8 +306,9 @@ class DenseOperator:
 
 
 def _embed_array(mat: np.ndarray, pos: np.ndarray, dim: int) -> np.ndarray:
-    """``mat`` placed at rows and columns ``pos`` of a zero dim x dim matrix."""
-    out = np.zeros((dim, dim), dtype=np.complex128)
+    """``mat`` placed at rows and columns ``pos`` of a zero dim x dim
+    matrix of its dtype."""
+    out = np.zeros((dim, dim), dtype=mat.dtype)
     out[np.ix_(pos, pos)] = mat
     return out
 
@@ -369,7 +374,9 @@ def _resize_increment(shape: TruncationShape, step):
 
 def grow(shape: TruncationShape, step) -> TruncationShape:
     """Enlarge a shape: Rect adds a per-mode increment, WeightedTotal raises
-    the cap, a Sector grows its base."""
+    the cap, a Sector grows its base.  A positive step on a WeightedTotal
+    raises the cap at least to the next grade, so the grown shape always
+    holds a new state."""
     if isinstance(shape, Sector):
         return shape.with_base(grow(shape.base, step))
     inc = _resize_increment(shape, step)
@@ -379,7 +386,20 @@ def grow(shape: TruncationShape, step) -> TruncationShape:
         return Rect([c + s for c, s in zip(shape.caps, inc)])
     if inc < 0:
         raise ShapeError("grow step must be non-negative")
-    return WeightedTotal(shape.weights, shape.cap + inc)
+    cap = shape.cap + inc
+    if 0 < inc < min(shape.weights):
+        # a step of at least the smallest weight reaches the next grade:
+        # one more quantum of the lightest mode on a state of the top grade
+        cap = max(cap, _next_grade(shape))
+    return WeightedTotal(shape.weights, cap)
+
+
+def _next_grade(shape: WeightedTotal) -> Fraction:
+    """The smallest grade above the cap.  A state of that grade loses a
+    quantum of some mode and lands inside the shape, so it is a basis
+    state's grade plus one weight."""
+    grades = (shape.grade(s) for s in basis_map(shape).states)
+    return min(g + w for g in grades for w in shape.weights if g + w > shape.cap)
 
 
 def shrink(shape: TruncationShape, step) -> TruncationShape:

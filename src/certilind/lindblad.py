@@ -13,6 +13,7 @@ supported in the original shape.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -49,6 +50,9 @@ __all__ = [
     "growth_margin",
     "grown_shape",
     "conserved_charges",
+    "real_gauge",
+    "gauged_model",
+    "gauge_phases",
     "apply_truncated",
     "truncated_expr",
 ]
@@ -240,6 +244,76 @@ def conserved_charges(model: LindbladModel) -> tuple[int, ...] | None:
     return tuple(moduli)
 
 
+_I_POWERS = np.array([1, 1j, -1, -1j])
+
+
+def _phased_terms(poly: PolyOperator, exponents) -> list:
+    """The terms of ``poly`` with each word coefficient multiplied by
+    i^(f . net), exactly (a power of i permutes and negates parts)."""
+    return [
+        (complex(c * _I_POWERS[sum(f * n for f, n in zip(exponents, net)) % 4]), w)
+        for (c, w), net in zip(poly.terms, poly.word_nets())
+    ]
+
+
+def real_gauge(model: LindbladModel) -> tuple[int, ...] | None:
+    """Exponents f of a diagonal Fock phase Phi = diag(i^(f . n)) in which
+    the model is real, or None.
+
+    Phi A Phi^dag multiplies entry (m, n) of an operator by i^(f.(m - n)),
+    so a word's coefficient by i^(f . net).  The model is real in the
+    gauge when, after that phase, every Hamiltonian word is purely
+    imaginary (so -iH is real) and each jump operator's words are all
+    real or all imaginary (a global phase drops out of D[Gamma]); L then
+    maps real matrices to real matrices.  Adding 2 to an exponent
+    multiplies a word by +-1, so f is searched in {0, 1}^modes.  None
+    for non-polynomial models.
+    """
+    if model.kind != "poly":
+        return None
+    for f in itertools.product((0, 1), repeat=model.mode_count):
+        h = [c for _, e in model.hamiltonian for c, _ in _phased_terms(e.poly, f)]
+        jumps = [[c for c, _ in _phased_terms(e.poly, f)] for e in model.dissipators]
+        if all(c.real == 0 for c in h) and all(
+            all(c.imag == 0 for c in cs) or all(c.real == 0 for c in cs)
+            for cs in jumps
+        ):
+            return f
+    return None
+
+
+@lru_cache(maxsize=64)
+def gauged_model(model: LindbladModel, exponents: tuple[int, ...]) -> LindbladModel:
+    """The model conjugated by Phi = diag(i^(f . n)): every word
+    coefficient multiplied by i^(f . net).  Words that share a matrix
+    entry share their net, so each truncation is exactly Phi A_N Phi^dag.
+    The model itself when every exponent is 0."""
+    if not any(exponents):
+        return model
+
+    def phased(expr):
+        return PolyExpr(PolyOperator(model.mode_count, _phased_terms(expr.poly, exponents)))
+
+    return LindbladModel(
+        model.mode_count,
+        hamiltonian=[(coeff, phased(expr)) for coeff, expr in model.hamiltonian],
+        dissipators=[phased(expr) for expr in model.dissipators],
+        parameters=model.parameters,
+    )
+
+
+@lru_cache(maxsize=256)
+def gauge_phases(shape: TruncationShape, exponents: tuple[int, ...]) -> np.ndarray:
+    """Read-only diagonal i^(f . n) of Phi over the basis of a shape, read
+    from a table, so every entry is exact.  For one mode and f = (k,) it
+    is the Fock rotation R^k, R = exp(i pi n / 2)."""
+    states = np.array(basis_map(shape).states, dtype=np.int64)
+    states = states.reshape(-1, shape.mode_count)
+    phases = _I_POWERS[(states @ np.array(exponents, dtype=np.int64)) % 4]
+    phases.setflags(write=False)
+    return phases
+
+
 # ---------------------------------------------------------------------------
 # exact truncation of operator expressions
 # ---------------------------------------------------------------------------
@@ -249,15 +323,6 @@ def _gkp_q_poly(amplitude: float, eps: float) -> PolyOperator:
     return amplitude * (
         PolyOperator.identity(1) - eps * PolyOperator.momentum(1, 0)
     )
-
-
-_I_POWERS = np.array([1, 1j, -1, -1j])
-
-
-def _fock_rotation_phase(occ: np.ndarray, sector: int) -> np.ndarray:
-    """Diagonal i^(sector n) of the Fock rotation R^sector, R = exp(i pi n / 2),
-    at the occupations ``occ``; read from a table, so every entry is exact."""
-    return _I_POWERS[(sector * occ) % 4]
 
 
 def _single_mode_caps(shape: TruncationShape) -> np.ndarray:
@@ -294,7 +359,7 @@ def _gkp_truncated_gamma(
     uq = u_block @ q_big[:, _embedding_indices(shape, big)]  # P U Q P, exact
     gamma0 = uq - np.eye(len(occ))
     if sector % 4:
-        r = _fock_rotation_phase(occ, sector)
+        r = gauge_phases(shape, (sector,))
         gamma0 = (r[:, None] * gamma0) * r.conj()[None, :]
     return DenseOperator(shape, gamma0)
 
@@ -337,8 +402,23 @@ def _adjoint(mat: np.ndarray) -> np.ndarray:
     """C-contiguous conjugate transpose; a transposing copy conjugated in
     place is faster than ``mat.conj().T`` arithmetic at reference sizes."""
     adj = np.ascontiguousarray(mat.T)
-    np.conjugate(adj, out=adj)
+    if adj.dtype.kind == "c":
+        np.conjugate(adj, out=adj)
     return adj
+
+
+def _real_form(mat: np.ndarray, scale: complex = 1.0):
+    """(matrix, factor) with factor * matrix == scale * mat exactly, the
+    matrix a float64 view when ``mat`` is purely imaginary or real, and
+    the factor a float whenever it is real.  An all-zero ``mat`` counts
+    as imaginary, so the -iH form of a zero H stays real."""
+    if not mat.real.any():
+        mat, scale = mat.imag, 1j * scale
+    elif not mat.imag.any():
+        mat = mat.real
+    if isinstance(scale, complex) and scale.imag == 0:
+        scale = scale.real
+    return mat, scale
 
 
 class _ShapedGenerator:
@@ -348,7 +428,11 @@ class _ShapedGenerator:
     sparse-times-dense path), and diagonal operators collapse to fused
     broadcast updates.  Ladder-polynomial operators are banded, so this
     cuts the cost of one generator application by an order of magnitude
-    at reference sizes.
+    at reference sizes.  Every operator is kept in its real form
+    (``_real_form``) when it has one: -iH with the factor u(t), and a
+    jump up to its global phase.  ``dtype`` is float64 when every stored
+    operator and factor is real; the generator then maps a real state to
+    a real state.
     """
 
     def __init__(self, model: LindbladModel, shape: TruncationShape):
@@ -357,23 +441,31 @@ class _ShapedGenerator:
         self.dim = dimension(shape)
         self.use_sparse = self.dim >= SPARSE_DIM_THRESHOLD
 
-        def factor(mat):
-            return sparse.csr_matrix(mat) if self.use_sparse else mat
+        def stored(expr, scale=1.0):
+            """(operator, factor) of an expression's truncation, in its
+            real form for a polynomial model; GKP and cosine runs are
+            complex, and their operators stay as they are."""
+            mat = truncated_expr(expr, shape).matrix
+            if model.kind == "poly":
+                mat, scale = _real_form(mat, scale)
+            if self.use_sparse:
+                return sparse.csr_matrix(mat), scale
+            return np.ascontiguousarray(mat), scale
 
-        self.h_diag = []  # (coeff, d_i - d_j grid) for diagonal H terms
+        self.h_diag = []  # (coeff, scale, d_i - d_j grid) for diagonal H terms
         self.half_terms = []  # (coeff or None, scale, A): Z = scale u(t) A rho
         self.jumps = []
         self.k_grids = []  # fused -(gdg_i + gdg_j)/2 grids for diagonal gdg
         for coeff, expr in model.hamiltonian:
-            h = truncated_expr(expr, shape).matrix
+            h, scale = stored(expr, -1j)
             diag = _diagonal_of(h)
             if diag is not None:
-                self.h_diag.append((coeff, diag[:, None] - diag[None, :]))
+                self.h_diag.append((coeff, scale, diag[:, None] - diag[None, :]))
             else:
-                self.half_terms.append((coeff, -1j, factor(h)))
+                self.half_terms.append((coeff, scale, h))
         gdgs = []
         for expr in model.dissipators:
-            g = factor(truncated_expr(expr, shape).matrix)
+            g = stored(expr)[0]
             self.jumps.append(g)
             if self.use_sparse:
                 gdg = (g.conj().T @ g).tocsr()
@@ -387,9 +479,18 @@ class _ShapedGenerator:
             else:
                 self.half_terms.append((None, -0.5, gdg))
         self.orbits = _rotation_orbits(model, shape, self.jumps, gdgs)
+        terms = self.half_terms + self.h_diag
+        self.dtype = np.result_type(
+            np.float64,
+            *(scale for _, scale, _ in terms),
+            *(op.dtype for _, _, op in terms),
+            *(g.dtype for g in self.jumps),
+        )
 
     def apply(self, t: float, rho: np.ndarray) -> np.ndarray:
-        """L_N(t, rho) for a Hermitian ``rho``.
+        """L_N(t, rho) for a Hermitian ``rho``, real when ``rho`` and the
+        generator are; a real ``rho`` under a complex generator is taken
+        as complex.
 
         Every product is taken from the left: with rho Hermitian,
         -i[H, rho] = Z + Z^dag for Z = -i H rho, -(1/2){K, rho} = Y + Y^dag
@@ -402,6 +503,8 @@ class _ShapedGenerator:
         with the off-class entries set to zero: the orbit sum of
         R^k X R^-k is 4 X on the classes and 0 off them.
         """
+        if self.dtype.kind == "c" and rho.dtype.kind != "c":
+            rho = rho.astype(self.dtype)
         if self.orbits is not None:
             mask, k_sum, reps = self.orbits
             if not rho[mask].any():
@@ -435,12 +538,12 @@ class _ShapedGenerator:
             out += half
         for g in self.jumps:
             out += g @ _adjoint(g @ rho)
-        for coeff, grid in self.h_diag:
+        for coeff, scale, grid in self.h_diag:
             u = coeff(t)
             if u == 0.0:
                 continue
             hr = grid * rho
-            hr *= -1j * u
+            hr *= scale * u
             out += hr
         for grid in self.k_grids:
             out += grid * rho

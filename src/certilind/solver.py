@@ -8,18 +8,21 @@ step is accepted only while xi stays under the linear-in-time budget
 (t/T) * space_tol, the shape grows on rejection, and it shrinks when the
 budget divided by the downsize factor tolerates the discarded tail.
 
-Both integrate a polynomial model on the charge sector of its initial
-state when the model conserves a charge (``conserved_charges``) and the
-state lies in one sector: the state stays there exactly, and the other
-entries are exact zeros.  Sizes, error norms and the final state still
-refer to the base shape.
+Both integrate in a working frame (``WorkingFrame``).  A polynomial
+model runs on the charge sector of its initial state when the model
+conserves a charge (``conserved_charges``) and the state lies in one
+sector: the state stays there exactly, and the other entries are exact
+zeros.  It runs in real arithmetic when the model has a real gauge
+(``real_gauge``) and the initial state is real in it: the gauged state
+stays real exactly.  Sizes, error norms and the final state still refer
+to the base shape and the base basis.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -55,6 +58,9 @@ from .lindblad import (
     ModelError,
     _hermitian_part,
     conserved_charges,
+    gauge_phases,
+    gauged_model,
+    real_gauge,
     shaped_generator,
 )
 
@@ -62,6 +68,7 @@ __all__ = [
     "SolverConfig",
     "TrajectoryRecord",
     "RunResult",
+    "WorkingFrame",
     "StepResult",
     "SolverError",
     "CertificationError",
@@ -164,12 +171,35 @@ class TrajectoryRecord:
     warning: str | None = None
 
 
+@dataclass(frozen=True)
+class WorkingFrame:
+    """The basis a run integrates in: the charge sector of the initial
+    state (``moduli`` and ``residues``, see ``fockspace.Sector``) and the
+    exponents f of the real gauge Phi = diag(i^(f . n)) in which the
+    state is real (``gauge``); each is None when not used."""
+
+    moduli: tuple[int, ...] | None = None
+    residues: tuple[int, ...] | None = None
+    gauge: tuple[int, ...] | None = None
+
+    def leave(self, rho: DenseOperator) -> DenseOperator:
+        """A state of the frame as a complex state on the base shape, in
+        the base basis: the phase undone exactly, then embedded."""
+        mat = rho.matrix.astype(np.complex128)
+        if self.gauge is not None:
+            phases = gauge_phases(rho.shape, self.gauge)
+            mat *= phases.conj()[:, None]
+            mat *= phases[None, :]
+        return embed(DenseOperator(rho.shape, mat), base_shape(rho.shape))
+
+
 @dataclass(frozen=True, eq=False)
 class RunResult:
     final: DensityState
     ledger: EstimatorLedger
     trajectory: tuple[TrajectoryRecord, ...]
     warnings: tuple[str, ...] = ()
+    frame: WorkingFrame = WorkingFrame()
 
     @property
     def xi(self) -> float:
@@ -229,19 +259,20 @@ def _dp_attempt(f, t, y, k0, h):
     exactly Hermitian before that stage is evaluated, so the stage is
     L_N at the state the caller carries.  The stages share one
     (7, d, d) array; each stage sum is one real matrix-vector product
-    over its float64 view.
+    over its float64 view.  The stages are real when y and k0 are.
     """
-    stack = np.empty((7,) + y.shape, dtype=np.complex128)
+    dtype = np.result_type(y, k0)
+    stack = np.empty((7,) + y.shape, dtype=dtype)
     flat = stack.reshape(7, -1).view(np.float64)
     stack[0] = k0
     for i in range(1, 7):
-        yi = ((h * _DP_ROWS[i]) @ flat[:i]).view(np.complex128).reshape(y.shape)
+        yi = ((h * _DP_ROWS[i]) @ flat[:i]).view(dtype).reshape(y.shape)
         yi += y
         if i == 6:
             yi = _hermitian_part(yi)
         k = f(t + _DP_C[i] * h, yi)
         stack[i] = k
-    err = ((h * _DP_ERR_ROW) @ flat).view(np.complex128).reshape(y.shape)
+    err = ((h * _DP_ERR_ROW) @ flat).view(dtype).reshape(y.shape)
     return yi, err, k
 
 
@@ -401,24 +432,42 @@ def _prepare_initial(
     raise SolverError("initial state shape is incompatible with the run shape")
 
 
-def _sector_state(model: LindbladModel, rho: DenseOperator) -> DenseOperator | None:
-    """rho restricted to the charge sector of its shape that holds all its
-    nonzero entries, when the model conserves a charge and there is one
-    such sector; otherwise None.  The restriction drops only exact
-    zeros."""
-    moduli = conserved_charges(model)
-    if moduli is None or isinstance(rho.shape, Sector):
-        return None
+def _enter_frame(model: LindbladModel, rho: DenseOperator):
+    """The working frame of a run from ``rho``, the model in it and
+    ``rho`` in it; ``WorkingFrame.leave`` undoes both steps.
+
+    ``rho`` is restricted to the charge sector of its shape that holds
+    all its nonzero entries, when the model conserves a charge and there
+    is one such sector.  It is then put in the model's real gauge when
+    there is one and the gauged state's imaginary part is exactly zero;
+    otherwise the run is complex.  Both steps are exact: the restriction
+    drops only exact zeros, and the phases are powers of i.
+    """
+    frame = WorkingFrame()
     mat = np.asarray(rho.matrix)
-    nonzero = mat != 0
-    support = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
-    states = basis_map(rho.shape).states
-    residues = {charge_residues(moduli, states[i]) for i in support}
-    if len(residues) != 1:
-        return None
-    sector = Sector(rho.shape, moduli, residues.pop())
-    idx = _embedding_indices(sector, rho.shape)
-    return DenseOperator(sector, mat[np.ix_(idx, idx)])
+    moduli = conserved_charges(model)
+    if moduli is not None and not isinstance(rho.shape, Sector):
+        nonzero = mat != 0
+        support = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
+        states = basis_map(rho.shape).states
+        residues = {charge_residues(moduli, states[i]) for i in support}
+        if len(residues) == 1:
+            frame = WorkingFrame(moduli, residues.pop())
+            sector = Sector(rho.shape, moduli, frame.residues)
+            idx = _embedding_indices(sector, rho.shape)
+            rho = DenseOperator(sector, mat[np.ix_(idx, idx)])
+            mat = rho.matrix
+    exponents = real_gauge(model)
+    if exponents is not None:
+        phases = gauge_phases(rho.shape, exponents)
+        gauged = (phases[:, None] * mat) * phases.conj()[None, :]
+        if not gauged.imag.any():
+            return (
+                replace(frame, gauge=exponents),
+                gauged_model(model, exponents),
+                DenseOperator(rho.shape, gauged.real),
+            )
+    return frame, model, DenseOperator(rho.shape, mat.astype(np.complex128))
 
 
 def _soft_state_checks(mat: np.ndarray, t: float) -> str | None:
@@ -439,7 +488,7 @@ def run_fixed(
     accepted step (or the per-step time bounds when the certificate is on)."""
     ledger = EstimatorLedger.empty()
     state, ledger = _prepare_initial(rho0, shape, ledger)
-    state = _sector_state(model, state) or state
+    frame, model, state = _enter_frame(model, state)
     base = base_shape(shape)
     shape = state.shape
     t_final = config.final_time
@@ -480,8 +529,8 @@ def run_fixed(
             ledger = xi_step(ledger, t, rate, step.dt)
             log(t, rho.matrix, rate, ledger.xi)
         return RunResult(
-            DensityState(embed(rho, base), t), ledger, tuple(records),
-            tuple(warnings),
+            DensityState(frame.leave(rho), t), ledger, tuple(records),
+            tuple(warnings), frame,
         )
 
     # fixed-step schemes on a uniform grid
@@ -513,7 +562,8 @@ def run_fixed(
         rho = rho_new
         log(t, rho.matrix, rate, ledger.xi)
     return RunResult(
-        DensityState(embed(rho, base), t), ledger, tuple(records), tuple(warnings)
+        DensityState(frame.leave(rho), t), ledger, tuple(records),
+        tuple(warnings), frame,
     )
 
 
@@ -541,7 +591,7 @@ def run_adaptive(
     """
     if config.scheme != "adaptive_rk":
         raise SolverError("run_adaptive drives the adaptive_rk scheme")
-    rho = _sector_state(model, rho0) or rho0
+    frame, model, rho = _enter_frame(model, rho0)
     shape = rho.shape
     for name in ("grow_step", "shrink_step"):
         try:
@@ -628,8 +678,10 @@ def run_adaptive(
                 warning=warning,
             )
         )
-    final = embed(rho, base_shape(shape))
-    return RunResult(DensityState(final, t), ledger, tuple(records), tuple(warnings))
+    return RunResult(
+        DensityState(frame.leave(rho), t), ledger, tuple(records),
+        tuple(warnings), frame,
+    )
 
 
 def _try_shrink(shape: TruncationShape, config: SolverConfig):

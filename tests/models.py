@@ -27,6 +27,7 @@ __all__ = [
     "gkp_model",
     "gkp_terms_model",
     "cosine_hamiltonian_model",
+    "word_poly",
 ]
 
 
@@ -40,6 +41,14 @@ def _ad(m=1, mode=0):
 
 def _id(m=1, c=1.0):
     return PolyOperator.identity(m, c)
+
+
+def word_poly(*terms, modes=1) -> PolyOperator:
+    """A polynomial from (coefficient, word) pairs, each word a string of
+    the letters 'a', 'A' (a^dag) on mode 0 and 'b', 'B' on mode 1, in
+    multiplication order."""
+    letters = {"a": (0, False), "A": (0, True), "b": (1, False), "B": (1, True)}
+    return PolyOperator(modes, [(c, tuple(letters[x] for x in w)) for c, w in terms])
 
 
 def number_drive_model(coeff: CoefficientFn | float = 1.0) -> LindbladModel:

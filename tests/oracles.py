@@ -2,13 +2,15 @@
 
 Closed forms of the paper for the linear drive and the two-photon cat,
 the 2x2 block decomposition of a polynomial dissipator's defect, dense
-forms of the truncated generator, and polynomial words as products of
-dense ladder matrices on a grown shape.  Each is written independently
-of the route the program takes, so the tests can hold the program to it.
+forms of the truncated generator, polynomial words as products of
+dense ladder matrices on a grown shape, and runs in complex arithmetic.
+Each is written independently of the route the program takes, so the
+tests can hold the program to it.
 """
 
 import math
 from functools import lru_cache
+from unittest import mock
 
 import numpy as np
 
@@ -22,6 +24,7 @@ from certilind.fockspace import (
     dimension,
     embed,
 )
+from certilind import solver
 from certilind.lindblad import truncated_expr
 from certilind.operators import (
     PolyOperator,
@@ -208,3 +211,18 @@ def off_class(dim) -> np.ndarray:
     single-mode operator on occupations 0..dim-1."""
     occ = np.arange(dim)
     return (occ[:, None] - occ[None, :]) % 4 != 0
+
+
+def complex_arithmetic_run(run, *args):
+    """``run(*args)`` for ``solver.run_fixed`` or ``solver.run_adaptive``
+    with the working state complex128 in the same frame: the same model
+    and sector, but every stage, product, norm and eigensolve in complex
+    arithmetic, the route of every GKP and cosine run."""
+    enter = solver._enter_frame
+
+    def complex_enter(model, rho):
+        frame, model, state = enter(model, rho)
+        return frame, model, DenseOperator(state.shape, state.matrix.astype(complex))
+
+    with mock.patch.object(solver, "_enter_frame", complex_enter):
+        return run(*args)

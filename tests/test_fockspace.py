@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -243,6 +244,22 @@ class TestGrowShrink:
             assert grow(Rect([4, 4]), step) == Rect([6, 6])
             assert shrink(Rect([4, 4]), step) == Rect([2, 2])
 
+    @pytest.mark.parametrize("step", [1e-12, "1/10", "49/100"])
+    def test_weighted_small_step_reaches_the_next_grade(self, step):
+        shape = WeightedTotal(["1/2", "1"], 4)
+        grown = grow(shape, step)
+        assert grown.cap == Fraction(9, 2)
+        assert dimension(grown) > dimension(shape)
+        off_grade = WeightedTotal(["2/3", "1"], "1/3")
+        assert grow(off_grade, step).cap == max(off_grade.cap + Fraction(step), Fraction(2, 3))
+
+    def test_weighted_step_of_a_weight_is_taken_as_is(self):
+        assert grow(WeightedTotal(["1/2", "1"], 6), "7").cap == 13  # adaptive2d
+        assert grow(WeightedTotal(["1/2", "1"], "6.3"), "1/2").cap == Fraction(68, 10)
+        margin_grown = _grow_by_margin(WeightedTotal(["1/2", "1"], "6.3"), (1, 0))
+        assert margin_grown.cap == Fraction(68, 10)
+        assert _grow_by_margin(WeightedTotal(["1/2", "1"], 6), (4, 2)).cap == 10
+
     @pytest.mark.parametrize("resize", [grow, shrink])
     def test_weighted_takes_one_cap_step(self, resize):
         shape = WeightedTotal(["1/2", "1"], 4)
@@ -261,6 +278,27 @@ def test_grow_always_contains(caps, inc):
     inc = (inc * 3)[: len(caps)]
     shape = Rect(caps)
     assert contains(shape, grow(shape, inc))
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    weights=st.lists(
+        st.fractions(min_value=Fraction(1, 4), max_value=2, max_denominator=6),
+        min_size=1,
+        max_size=2,
+    ),
+    cap=st.fractions(min_value=0, max_value=5, max_denominator=6),
+    step=st.fractions(min_value=Fraction(1, 10**6), max_value=2, max_denominator=10**6),
+)
+def test_weighted_grow_adds_a_state(weights, cap, step):
+    shape = WeightedTotal(weights, cap)
+    grown = grow(shape, step)
+    # the smallest grade above the cap, by brute force over a box
+    box = [range(int(cap / w) + 2) for w in shape.weights]
+    grades = {sum(w * k for w, k in zip(shape.weights, ks)) for ks in itertools.product(*box)}
+    next_grade = min(g for g in grades if g > shape.cap)
+    assert grown.cap == max(shape.cap + step, next_grade)
+    assert dimension(grown) > dimension(shape)
 
 
 @settings(max_examples=30, deadline=None)

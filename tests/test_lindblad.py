@@ -26,8 +26,11 @@ from certilind.lindblad import (
     PolyExpr,
     apply_truncated,
     conserved_charges,
+    gauge_phases,
+    gauged_model,
     growth_margin,
     grown_shape,
+    real_gauge,
     truncated_expr,
 )
 from models import (
@@ -39,6 +42,7 @@ from models import (
     linear_drive_model,
     number_drive_model,
     squeezed_cat_model,
+    word_poly,
 )
 from certilind.operators import PolyOperator, trace_norm
 from certilind.presets import preset_model_file
@@ -471,3 +475,86 @@ class TestRotationOrbits:
     def test_polynomial_models_have_no_orbits(self):
         for model in (cat_model(1.0), number_drive_model(1.0)):
             assert lindblad._ShapedGenerator(model, Rect([8])).orbits is None
+
+
+CONST = CoefficientFn.constant(1.0)
+
+
+class TestRealGauge:
+    @pytest.mark.parametrize(
+        "name, exponents",
+        [
+            ("exampleA", None),  # a^dag a is a real diagonal word
+            ("exampleB", (1,)),
+            ("exampleC", (0,)),
+            ("exampleD", (0,)),
+            ("exampleE", (0, 1)),
+            ("adaptive1d", (0,)),
+            ("adaptive2d", (0, 1)),
+            ("gkp", None),
+        ],
+    )
+    def test_presets(self, name, exponents):
+        assert real_gauge(preset_model_file(name).build().model) == exponents
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            # a Hamiltonian with a diagonal word
+            LindbladModel(1, hamiltonian=[(CONST, PolyExpr(word_poly((1, "a"), (1, "A"), (1, "Aa"))))]),
+            # a jump whose words are real and imaginary under every phase
+            LindbladModel(1, dissipators=[PolyExpr(word_poly((1, "a"), (1j, "aaa")))]),
+            LindbladModel(1, dissipators=[PolyExpr(word_poly((1 + 1j, "a")))]),
+            # the drive needs f_0 odd, the jump's mixed nets need it even
+            LindbladModel(
+                2,
+                hamiltonian=[(CONST, PolyExpr(word_poly((1, "a"), (1, "A"), modes=2)))],
+                dissipators=[PolyExpr(word_poly((1, "ab"), (1, "B"), modes=2))],
+            ),
+            cosine_hamiltonian_model([1.0]),
+            gkp_model(),
+        ],
+    )
+    def test_no_gauge(self, model):
+        assert real_gauge(model) is None
+
+    def test_gauged_operators_are_phased_truncations(self):
+        # the exchange and drive need f_1 odd; the jump a + i a^2 mixes
+        # real and imaginary words unless f_0 is odd
+        model = LindbladModel(
+            2,
+            hamiltonian=[
+                (CONST, PolyExpr(word_poly((1, "aaB"), (1, "AAb"), modes=2))),
+                (SIN, PolyExpr(word_poly((-2.25, "b"), (-2.25, "B"), modes=2))),
+            ],
+            dissipators=[
+                PolyExpr(word_poly((1, "b"), modes=2)),
+                PolyExpr(word_poly((1, "a"), (1j, "aa"), modes=2)),
+            ],
+        )
+        exponents = real_gauge(model)
+        assert exponents == (1, 1)
+        gauged = gauged_model(model, exponents)
+        assert gauged is gauged_model(model, exponents)  # one model per gauge
+        shape = WeightedTotal(["1/2", "1"], 5)
+        phases = gauge_phases(shape, exponents)
+        for (_, expr), (_, phased) in zip(model.hamiltonian, gauged.hamiltonian):
+            want = phases[:, None] * truncated_expr(expr, shape).matrix * phases.conj()
+            got = truncated_expr(phased, shape).matrix
+            assert np.array_equal(got, want) and not got.real.any()
+        for expr, phased in zip(model.dissipators, gauged.dissipators):
+            want = phases[:, None] * truncated_expr(expr, shape).matrix * phases.conj()
+            assert np.array_equal(truncated_expr(phased, shape).matrix, want)
+        real_model = cat_model()
+        assert gauged_model(real_model, (0,)) is real_model
+
+    @pytest.mark.parametrize("name", ["exampleA", "gkp"])
+    def test_complex_generators(self, name):
+        built = preset_model_file(name).build()
+        gen = lindblad.shaped_generator(built.model, Rect([6]))
+        assert gen.dtype == np.complex128
+        # a real state is taken as complex
+        rho = np.diag(np.linspace(1.0, 0.0, 7))
+        out = gen.apply(0.3, rho)
+        assert out.dtype == np.complex128
+        assert np.array_equal(out, gen.apply(0.3, rho.astype(complex)))

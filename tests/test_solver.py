@@ -1,12 +1,15 @@
+import json
 import math
 from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from certilind import estimators, lindblad, solver
+from certilind import cli, estimators, lindblad, solver
 from certilind.fockspace import (
     DenseOperator,
     Rect,
@@ -18,16 +21,22 @@ from certilind.fockspace import (
 from certilind.lindblad import (
     CoefficientFn,
     LindbladModel,
+    PolyExpr,
     conserved_charges,
+    gauge_phases,
+    gauged_model,
     grown_shape,
+    real_gauge,
 )
 from models import (
     cat_buffer_model,
     cat_model,
+    gkp_model,
     linear_drive_model,
     number_drive_model,
+    word_poly,
 )
-from certilind.operators import fock_density, trace_norm
+from certilind.operators import PolyOperator, fock_density, trace_norm
 from certilind.presets import preset_model_file
 from certilind.solver import (
     CertificationError,
@@ -42,7 +51,7 @@ from certilind.solver import (
     write_ledger_csv,
     write_trajectory_csv,
 )
-from oracles import lindblad_superoperator
+from oracles import complex_arithmetic_run, lindblad_superoperator, two_sided_generator
 
 
 def random_density(rng, dim):
@@ -490,7 +499,7 @@ class TestInvalidConfig:
 def forced_full(monkeypatch, run):
     """``run()`` with the charge-sector path switched off."""
     with monkeypatch.context() as patch:
-        patch.setattr(solver, "_sector_state", lambda model, rho: None)
+        patch.setattr(solver, "conserved_charges", lambda model: None)
         return run()
 
 
@@ -519,7 +528,8 @@ class TestChargeSectorRuns:
     )
     def test_run_fixed_matches_full_shape(self, monkeypatch, model, shape, t_final):
         rho0 = fock_density(shape, [0] * shape.mode_count)
-        sector_state = solver._sector_state(model, rho0)
+        frame, _, sector_state = solver._enter_frame(model, rho0)
+        assert frame.moduli == conserved_charges(model)
         assert dimension(sector_state.shape) < dimension(shape)
         config = SolverConfig(final_time=t_final, time_tol=1e-11)
         run = lambda: run_fixed(model, rho0, shape, config)  # noqa: E731
@@ -582,7 +592,7 @@ class TestChargeSectorRuns:
             config = replace(built.config, final_time=0.01)
             if case == "gkp":
                 config = replace(config, dt=0.005)
-        assert solver._sector_state(model, rho0) is None
+        assert solver._enter_frame(model, rho0)[0].moduli is None
         dims = set()
         apply = lindblad._ShapedGenerator.apply
 
@@ -655,6 +665,249 @@ class TestRotationInvariantGkpRuns:
         result, full = run(), forced_four_sectors(monkeypatch, run)
         assert np.array_equal(result.final.rho.matrix, full.final.rho.matrix)
         assert result.xi == full.xi
+
+
+_I_POWERS = (1, 1j, -1, -1j)
+
+
+@st.composite
+def gauge_admissible_cases(draw):
+    """(model, start shape, state real in the model's gauge): 1 or 2 modes,
+    words of up to 3 letters with coefficients that the phase
+    i^(f . net) of a random f makes imaginary in H and real or imaginary
+    (one kind per jump) in the jumps; H is Hermitian, c w + conj(c) w^dag."""
+    modes = draw(st.integers(1, 2))
+    f = draw(st.lists(st.integers(0, 3), min_size=modes, max_size=modes))
+    word = st.lists(
+        st.tuples(st.integers(0, modes - 1), st.booleans()), min_size=1, max_size=3
+    ).map(tuple)
+    size = st.floats(0.25, 1.5) | st.floats(-1.5, -0.25)
+
+    def unphase(w):
+        """i^(-f . net) of a word, so that the phase takes it to 1."""
+        net = sum(f[m] * (1 if d else -1) for m, d in w)
+        return _I_POWERS[-net % 4]
+
+    h_terms = []
+    for w, r in draw(st.lists(st.tuples(word, size), max_size=2)):
+        c = 1j * r * unphase(w)
+        h_terms += [(c, w), (c.conjugate(), tuple((m, not d) for m, d in reversed(w)))]
+    hamiltonian = []
+    if PolyOperator(modes, h_terms).terms:
+        hamiltonian = [(CoefficientFn.constant(1.0), PolyExpr(PolyOperator(modes, h_terms)))]
+    jumps = []
+    for terms in draw(st.lists(st.lists(st.tuples(word, size), min_size=1, max_size=2), min_size=1, max_size=2)):
+        glob = draw(st.sampled_from([1, 1j, -1j]))
+        jumps.append(PolyExpr(PolyOperator(modes, [(glob * r * unphase(w), w) for w, r in terms])))
+    model = LindbladModel(modes, hamiltonian=hamiltonian, dissipators=jumps)
+    if modes == 1:
+        shape = draw(st.sampled_from([Rect([3]), Rect([5]), WeightedTotal(["1/2"], 2)]))
+    else:
+        shape = draw(st.sampled_from([Rect([3, 2]), WeightedTotal(["1/2", "1"], 2)]))
+    d = dimension(shape)
+    if draw(st.booleans()):  # a Fock state: one sector, real in every gauge
+        sigma = np.zeros((d, d))
+        k = draw(st.integers(0, d - 1))
+        sigma[k, k] = 1.0
+    else:  # a real density in the gauge, spread over every sector
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        a = rng.standard_normal((d, d))
+        sigma = a @ a.T / np.trace(a @ a.T)
+    phases = gauge_phases(shape, real_gauge(model))
+    rho = DenseOperator(shape, phases.conj()[:, None] * sigma * phases[None, :])
+    return model, shape, rho
+
+
+def assert_same_numbers(result, oracle, state_tol=1e-13, xi_rtol=1e-12):
+    assert result.frame.gauge is not None
+    assert result.frame.moduli == oracle.frame.moduli
+    final = result.final.rho
+    assert final.shape == oracle.final.rho.shape
+    assert final.matrix.dtype == np.complex128
+    assert trace_norm(final.matrix - oracle.final.rho.matrix) <= state_tol
+    assert result.xi == pytest.approx(oracle.xi, rel=xi_rtol, abs=1e-300)
+    assert [r.dim for r in result.trajectory] == [r.dim for r in oracle.trajectory]
+
+
+def ungauged_run(run, *args):
+    """``run(*args)`` with the real gauge switched off: the model as given,
+    on a complex state in the base basis."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver, "real_gauge", lambda model: None)
+        return run(*args)
+
+
+class TestRealGaugeRuns:
+    """A model with a real gauge and a state real in it run in float64.
+
+    The numbers equal those of the same run in complex arithmetic up to
+    rounding.  Past about 30 states a dense complex product rounds
+    differently from the real one, which moves the DP5 step sizes by
+    about 1e-14 and xi by up to 6.4e-12 relative (in 500 adaptive
+    examples).  The ungauged run multiplies phased complex matrices, and
+    its xi moved by up to 1.2e-9 relative (in 700 examples), inside the
+    rounding floor of the step controller (3.7e-10 to 6.6e-8 on stiff
+    runs)."""
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(case=gauge_admissible_cases())
+    def test_generator_maps_real_to_real(self, case):
+        model, shape, rho = case
+        exponents = real_gauge(model)
+        assert exponents is not None
+        phases = gauge_phases(shape, exponents)
+        sigma = (phases[:, None] * rho.matrix * phases.conj()[None, :]).real
+        gen = lindblad.shaped_generator(gauged_model(model, exponents), shape)
+        assert gen.dtype == np.float64
+        out = gen.apply(0.0, sigma)
+        assert out.dtype == np.float64
+        want = two_sided_generator(model, 0.0, shape, rho.matrix)
+        want = phases[:, None] * want * phases.conj()[None, :]
+        assert np.abs(out - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(case=gauge_admissible_cases())
+    def test_run_fixed_matches_complex_run(self, case):
+        model, shape, rho = case
+        config = SolverConfig(final_time=0.05, time_tol=1e-9)
+        result = run_fixed(model, rho, shape, config)
+        oracle = complex_arithmetic_run(run_fixed, model, rho, shape, config)
+        assert oracle.frame == result.frame
+        assert_same_numbers(result, oracle)
+        ungauged = ungauged_run(run_fixed, model, rho, shape, config)
+        assert ungauged.frame.gauge is None
+        assert_same_numbers(result, ungauged, xi_rtol=1e-7)
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(case=gauge_admissible_cases())
+    def test_run_adaptive_matches_complex_run(self, case):
+        model, shape, rho = case
+        config = SolverConfig(
+            final_time=0.05, time_tol=1e-9, space_tol=1e-3, grow_step=1,
+            shrink_step=1, max_dimension=120,
+        )
+        try:
+            result = run_adaptive(model, rho, config)
+        except CertificationError:
+            with pytest.raises(CertificationError):
+                complex_arithmetic_run(run_adaptive, model, rho, config)
+            return
+        oracle = complex_arithmetic_run(run_adaptive, model, rho, config)
+        assert_same_numbers(result, oracle, xi_rtol=1e-10)
+
+
+class TestComplexFallback:
+    """Runs that must stay complex: no real gauge, or a state that is not
+    real in it.  Their generators see complex states only."""
+
+    @staticmethod
+    def run_recording_dtypes(monkeypatch, model, rho, config):
+        dtypes = set()
+        apply = lindblad._ShapedGenerator.apply
+
+        def recording_apply(gen, t, state):
+            dtypes.add(state.dtype)
+            return apply(gen, t, state)
+
+        monkeypatch.setattr(lindblad._ShapedGenerator, "apply", recording_apply)
+        result = run_fixed(model, rho, rho.shape, config)
+        assert dtypes == {np.dtype(np.complex128)}
+        assert result.frame.gauge is None
+        return result
+
+    def superposition(self, shape, amplitudes):
+        psi = np.zeros(dimension(shape), dtype=complex)
+        psi[: len(amplitudes)] = amplitudes
+        psi /= np.linalg.norm(psi)
+        return DenseOperator(shape, np.outer(psi, psi.conj()))
+
+    def test_example_a(self, monkeypatch):
+        built = preset_model_file("exampleA").build()
+        config = replace(built.config, final_time=0.05)
+        assert real_gauge(built.model) is None
+        self.run_recording_dtypes(monkeypatch, built.model, built.initial, config)
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            # a diagonal Hamiltonian word next to a drive
+            LindbladModel(
+                1,
+                hamiltonian=[
+                    (CoefficientFn.constant(1.0), PolyExpr(word_poly((1, "a"), (1, "A"), (0.5, "Aa"))))
+                ],
+                dissipators=[PolyExpr(word_poly((1, "a")))],
+            ),
+            # a jump that mixes real and imaginary words under every phase
+            LindbladModel(1, dissipators=[PolyExpr(word_poly((1, "a"), (1j, "aaa")))]),
+        ],
+    )
+    def test_no_gauge(self, monkeypatch, model):
+        assert real_gauge(model) is None
+        rho = fock_density(Rect([5]), [2])
+        self.run_recording_dtypes(monkeypatch, model, rho, SolverConfig(final_time=0.05))
+
+    def test_state_imaginary_in_the_gauge(self, monkeypatch):
+        # the cat model is real with f = 0, the coherence between |0> and
+        # |2> is imaginary
+        model = cat_model(1.0)
+        rho = self.superposition(Rect([8]), [1, 0, 1j])
+        assert real_gauge(model) == (0,)
+        result = self.run_recording_dtypes(monkeypatch, model, rho, SolverConfig(final_time=0.1))
+        assert result.frame.moduli == (2,) and result.frame.residues == (0,)
+
+    def test_gkp(self, monkeypatch):
+        model = gkp_model()
+        rho = fock_density(Rect([12]), [0])
+        config = SolverConfig(final_time=0.01, scheme="rk4", dt=0.005)
+        result = self.run_recording_dtypes(monkeypatch, model, rho, config)
+        assert result.frame == solver.WorkingFrame()
+
+    def test_gkp_preset_xi_unchanged(self):
+        # the GKP route takes no real gauge: xi of a tenth of the preset's
+        # horizon, bit for bit as before real-gauge runs existed
+        built = preset_model_file("gkp").build()
+        config = replace(built.config, final_time=built.config.final_time / 10)
+        result = run_fixed(built.model, built.initial, built.shape, config)
+        assert len(result.trajectory) == 200
+        assert result.xi == 0.39368089914591375
+
+
+class TestWorkingFrame:
+    @pytest.mark.parametrize(
+        "preset, frame",
+        [
+            ("exampleA", solver.WorkingFrame()),
+            ("exampleB", solver.WorkingFrame(gauge=(1,))),
+            ("exampleE", solver.WorkingFrame((2, 1), (0, 0), (0, 1))),
+        ],
+    )
+    def test_run_result_and_summary(self, tmp_path, preset, frame):
+        built = preset_model_file(preset).build()
+        config = replace(built.config, final_time=0.01)
+        result = run_fixed(built.model, built.initial, built.shape, config)
+        assert result.frame == frame
+        out = tmp_path / "out"
+        cli._write_outputs(str(out), built, result, 0.0)
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["frame"] == {
+            "moduli": None if frame.moduli is None else list(frame.moduli),
+            "residues": None if frame.residues is None else list(frame.residues),
+            "gauge": None if frame.gauge is None else list(frame.gauge),
+        }
+
+    def test_leave_undoes_the_frame(self):
+        model = cat_buffer_model(1.0)
+        shape = Rect([6, 3])
+        rng = np.random.default_rng(5)
+        sigma = rng.standard_normal((dimension(shape),) * 2)
+        phases = gauge_phases(shape, (0, 1))
+        rho = DenseOperator(shape, phases.conj()[:, None] * (sigma + sigma.T) * phases)
+        frame, gauged, state = solver._enter_frame(model, rho)
+        assert frame == solver.WorkingFrame(gauge=(0, 1))  # every sector
+        assert gauged is gauged_model(model, (0, 1))
+        assert state.matrix.dtype == np.float64
+        assert np.array_equal(frame.leave(state).matrix, rho.matrix)
 
 
 class TestCsvWriters:
