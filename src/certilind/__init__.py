@@ -32,6 +32,7 @@ from .fockspace import (
     grow,
     project,
     shrink,
+    trace_norm,
 )
 from .lindblad import (
     CoefficientFn,
@@ -41,7 +42,6 @@ from .lindblad import (
     LindbladModel,
     ModelError,
     PolyExpr,
-    apply_truncated,
     growth_margin,
     truncated_expr,
 )
@@ -52,9 +52,7 @@ from .operators import (
     cosine_of,
     displacement_q,
     fock_density,
-    herm_part,
     materialize_poly,
-    trace_norm,
 )
 from .solver import (
     CertificationError,

@@ -20,7 +20,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, replace
 from fractions import Fraction
 
-from .fockspace import Rect, WeightedTotal, contains, dimension, embed
+from .fockspace import Rect, WeightedTotal, contains, dimension, embed, trace_norm
 from .lindblad import ModelError
 from .modelfile import (
     BuiltModel,
@@ -29,7 +29,7 @@ from .modelfile import (
     dump_state_json,
     shape_to_spec,
 )
-from .operators import OperatorError, trace_norm
+from .operators import OperatorError
 from .presets import PRESETS, preset_model_file, preset_names
 from .solver import (
     CertificationError,
@@ -86,7 +86,6 @@ def _write_outputs(out_dir: str, built: BuiltModel, result, wall: float) -> None
         "time_tol": built.config.time_tol,
         "space_tol": built.config.space_tol,
         "wall_time_s": wall,
-        "warnings": list(result.warnings),
         "frame": asdict(result.frame),
     }
     _atomic_write(

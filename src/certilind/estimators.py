@@ -24,13 +24,13 @@ from .fockspace import (
     _grow_by_margin,
     basis_map,
     dimension,
+    trace_norm,
 )
 from .lindblad import (
     CoefficientFn,
     LindbladModel,
     ModelError,
     _gkp_q_poly,
-    _hermitian_part,
     _off_class_mask,
     _real_form,
     gauge_phases,
@@ -41,6 +41,7 @@ from .lindblad import (
 from .operators import (
     PolyOperator,
     _hermitian_eigvalsh,
+    _hermitian_part,
     cosine_unitary_pair,
     displacement_block,
     displacement_q,
@@ -203,7 +204,7 @@ class _DefectContext:
         delta = self.gen_big.apply(t, _embed_array(rho, self.pos, self.dim_big))
         if self.boundary is None:
             off = delta[np.ix_(self.perp, self.pos)]
-            return 2.0 * float(np.linalg.svd(off, compute_uv=False).sum())
+            return 2.0 * trace_norm(off)
         half = self.boundary @ rho
         half *= -0.5
         delta[np.ix_(self.pos, self.pos)] = half + half.conj().T
@@ -273,7 +274,7 @@ def _offblock_norm(u: np.ndarray, kernel: np.ndarray, m: np.ndarray, rows) -> fl
         if block.shape[0] == 1:
             total += float(np.linalg.norm(block))
         else:
-            total += float(np.linalg.svd(block, compute_uv=False).sum())
+            total += trace_norm(block)
     return total
 
 
@@ -350,7 +351,7 @@ class _GkpContext:
             self.w1, self.w1_kernel, m_cross[self.g1], self.beyond
         )
 
-        t3 = float(np.linalg.svd(self.a2_kernel @ emb, compute_uv=False).sum())
+        t3 = trace_norm(self.a2_kernel @ emb)
 
         t4 = _offblock_norm(self.w1, self.w1_kernel, m_uq[self.g1], self.beyond)
 
@@ -440,7 +441,7 @@ def cosine_defect(arg: PolyOperator, rho: DenseOperator) -> float:
     rr = rho.matrix
     tr_sqrt_psd(rr.conj().T @ k @ rr)  # PSD guard on the truncated radicand
     offband = _cosine_offband(arg, rho.shape)
-    return 0.5 * float(np.linalg.svd(offband @ rr, compute_uv=False).sum())
+    return 0.5 * trace_norm(offband @ rr)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ and a weighted bound on the total excitation number (``WeightedTotal``).
 A ``Sector`` keeps the states of either one that carry given per-mode
 charges n_j mod m_j.  Basis enumeration is graded lexicographic and
 deterministic, so dense indices are stable across runs.  All values here
-are immutable.
+are immutable.  ``trace_norm`` is the one singular-value sum of the
+package.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ __all__ = [
     "contains",
     "embed",
     "project",
+    "trace_norm",
     "grow",
     "shrink",
 ]
@@ -335,9 +337,15 @@ def project(
     sub = op.matrix[np.ix_(idx, idx)]
     kept = np.zeros_like(op.matrix)
     kept[np.ix_(idx, idx)] = sub
-    discarded = op.matrix - kept
-    nrm = float(np.linalg.svd(discarded, compute_uv=False).sum())
-    return DenseOperator(shape_small, sub), nrm
+    return DenseOperator(shape_small, sub), trace_norm(op.matrix - kept)
+
+
+def trace_norm(op) -> float:
+    """Sum of the singular values of a DenseOperator or a matrix."""
+    mat = op.matrix if isinstance(op, DenseOperator) else np.asarray(op)
+    if not np.all(np.isfinite(mat)):
+        raise ValueError("trace norm of a non-finite matrix")
+    return float(np.linalg.svd(mat, compute_uv=False).sum())
 
 
 def resize_step_fractions(step):

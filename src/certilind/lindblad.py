@@ -53,7 +53,6 @@ __all__ = [
     "real_gauge",
     "gauged_model",
     "gauge_phases",
-    "apply_truncated",
     "truncated_expr",
 ]
 
@@ -390,14 +389,6 @@ def _diagonal_of(mat) -> np.ndarray | None:
     return diag if nonzero == np.count_nonzero(diag) else None
 
 
-def _hermitian_part(mat: np.ndarray) -> np.ndarray:
-    """(mat + mat^dag) / 2, exactly Hermitian: the input the generator's
-    one-sided products need."""
-    out = mat + mat.conj().T
-    out *= 0.5
-    return out
-
-
 def _adjoint(mat: np.ndarray) -> np.ndarray:
     """C-contiguous conjugate transpose; a transposing copy conjugated in
     place is faster than ``mat.conj().T`` arithmetic at reference sizes."""
@@ -578,12 +569,3 @@ def _rotation_orbits(model: LindbladModel, shape: TruncationShape, jumps, gdgs):
 def shaped_generator(model: LindbladModel, shape: TruncationShape) -> _ShapedGenerator:
     return _ShapedGenerator(model, shape)
 
-
-def apply_truncated(
-    model: LindbladModel, t: float, rho: DenseOperator
-) -> DenseOperator:
-    """L_N(rho): commutator plus dissipators built from exactly-truncated
-    operators on rho's shape.  ``rho`` must be Hermitian (see
-    ``_ShapedGenerator.apply``)."""
-    gen = shaped_generator(model, rho.shape)
-    return DenseOperator(rho.shape, gen.apply(t, np.asarray(rho.matrix)))

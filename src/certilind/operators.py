@@ -2,7 +2,7 @@
 
 Symbolic polynomials in per-mode creation/annihilation letters with
 *exact* truncation-aware materialization, displacement-type truncated
-unitaries via the stable Laguerre closed form, and trace norms.
+unitaries via the stable Laguerre closed form, and Hermitian parts.
 
 Exactness convention: ``materialize_poly(Q, shape)`` returns the true
 P Q P of the untruncated operator, never the product of truncated
@@ -30,8 +30,6 @@ __all__ = [
     "materialize_poly",
     "displacement_q",
     "displacement_block",
-    "trace_norm",
-    "herm_part",
     "cosine_of",
     "cosine_unitary_pair",
     "fock_density",
@@ -364,44 +362,25 @@ def cosine_unitary_pair(
 def cosine_of(arg: PolyOperator, shape: TruncationShape) -> DenseOperator:
     """Exact truncation of cos(O) = (U + U^dag)/2 with U = exp(iO)."""
     u, _ = cosine_unitary_pair(arg, shape)
-    return herm_part(u)
+    return DenseOperator(shape, _hermitian_part(u.matrix))
 
 
 # ---------------------------------------------------------------------------
-# norms
+# Hermitian parts
 # ---------------------------------------------------------------------------
 
-HERMITIAN_DEFECT_GUARD = 1e-10
 
-
-def _as_matrix(op) -> np.ndarray:
-    return op.matrix if isinstance(op, DenseOperator) else np.asarray(op)
-
-
-def trace_norm(op, hermitian: bool = False) -> float:
-    """Sum of singular values; Hermitian inputs go through the cheaper
-    symmetrized eigenvalue path."""
-    mat = _as_matrix(op)
-    if not np.all(np.isfinite(mat)):
-        raise OperatorError("trace norm of a non-finite matrix")
-    if hermitian:
-        scale = float(np.linalg.norm(mat))
-        defect = float(np.linalg.norm(mat - mat.conj().T))
-        if defect > HERMITIAN_DEFECT_GUARD * max(scale, 1e-30):
-            raise OperatorError(
-                f"matrix flagged Hermitian has relative defect {defect / max(scale, 1e-30):.3e}"
-            )
-        return float(np.abs(_hermitian_eigvalsh(mat)).sum())
-    return float(np.linalg.svd(mat, compute_uv=False).sum())
+def _hermitian_part(mat: np.ndarray) -> np.ndarray:
+    """(mat + mat^dag) / 2, exactly Hermitian: the input the generator's
+    one-sided products need."""
+    out = mat + mat.conj().T
+    out *= 0.5
+    return out
 
 
 def _hermitian_eigvalsh(mat: np.ndarray) -> np.ndarray:
     """Eigenvalues of the Hermitian part (mat + mat^dag) / 2, ascending."""
-    return np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))
-
-
-def herm_part(op: DenseOperator) -> DenseOperator:
-    return DenseOperator(op.shape, 0.5 * (op.matrix + op.matrix.conj().T))
+    return np.linalg.eigvalsh(_hermitian_part(mat))
 
 
 def fock_density(shape: TruncationShape, state: Sequence[int]) -> DenseOperator:

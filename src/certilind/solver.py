@@ -56,13 +56,13 @@ from .lindblad import (
     DensityState,
     LindbladModel,
     ModelError,
-    _hermitian_part,
     conserved_charges,
     gauge_phases,
     gauged_model,
     real_gauge,
     shaped_generator,
 )
+from .operators import _hermitian_part
 
 __all__ = [
     "SolverConfig",
@@ -168,7 +168,6 @@ class TrajectoryRecord:
     defect_rate: float
     accepted: bool
     resize: str = "none"  # none | grow | shrink
-    warning: str | None = None
 
 
 @dataclass(frozen=True)
@@ -198,7 +197,6 @@ class RunResult:
     final: DensityState
     ledger: EstimatorLedger
     trajectory: tuple[TrajectoryRecord, ...]
-    warnings: tuple[str, ...] = ()
     frame: WorkingFrame = WorkingFrame()
 
     @property
@@ -300,36 +298,6 @@ def _initial_step(f, t, y, f0, tol, remaining, count):
     return min(100.0 * h0, h1, remaining)
 
 
-def _adaptive_step_raw(f, t, y, tol, remaining, horizon, count, h_start=None, f0=None):
-    """One accepted DP5(4) step from f0 = f(t, y) (computed when not
-    given); returns (y1, dt, h_next, f(t + dt, y1)).  The error norms
-    are means over ``count`` entries."""
-    if f0 is None:
-        f0 = f(t, y)
-    if h_start and h_start > 0:
-        h = h_start
-    else:
-        h = _initial_step(f, t, y, f0, tol, remaining, count)
-    h = min(h, remaining)
-    while True:
-        if h < STEP_UNDERFLOW_FACTOR * horizon:
-            raise SolverError(
-                f"step size underflow at t={t!r} (h={h!r}); the model may be "
-                "too stiff for the requested tolerance"
-            )
-        y1, err, k_last = _dp_attempt(f, t, y, f0, h)
-        measure = _error_measure(err, y, y1, tol, count)
-        if measure <= 1.0:
-            if measure == 0.0:
-                factor = MAX_STEP_GROWTH
-            else:
-                factor = min(
-                    MAX_STEP_GROWTH, max(MIN_STEP_SHRINK, SAFETY * measure**-0.2)
-                )
-            return y1, h, min(h * factor, horizon), k_last
-        h *= max(MIN_STEP_SHRINK, SAFETY * measure**-0.2)
-
-
 def adaptive_solve_one_step(
     model: LindbladModel,
     shape: TruncationShape,
@@ -352,14 +320,36 @@ def adaptive_solve_one_step(
     """
     if rho.shape != shape:
         raise SolverError("state does not live on the integration shape")
-    gen = shaped_generator(model, shape)
+    f = shaped_generator(model, shape).apply
+    y = np.asarray(rho.matrix)
+    count = dimension(base_shape(shape)) ** 2
     horizon = horizon if horizon is not None else max(abs(t), 1.0)
     remaining = horizon - t if horizon > t else horizon
-    y1, dt, h_next, stage = _adaptive_step_raw(
-        gen.apply, t, np.asarray(rho.matrix), time_tol, remaining, horizon,
-        dimension(base_shape(shape)) ** 2, h_start, first_stage,
-    )
-    return StepResult(DenseOperator(shape, y1), dt, h_next, stage)
+    f0 = first_stage if first_stage is not None else f(t, y)
+    if h_start and h_start > 0:
+        h = h_start
+    else:
+        h = _initial_step(f, t, y, f0, time_tol, remaining, count)
+    h = min(h, remaining)
+    while True:
+        if h < STEP_UNDERFLOW_FACTOR * horizon:
+            raise SolverError(
+                f"step size underflow at t={t!r} (h={h!r}); the model may be "
+                "too stiff for the requested tolerance"
+            )
+        y1, err, stage = _dp_attempt(f, t, y, f0, h)
+        measure = _error_measure(err, y, y1, time_tol, count)
+        if measure <= 1.0:
+            if measure == 0.0:
+                factor = MAX_STEP_GROWTH
+            else:
+                factor = min(
+                    MAX_STEP_GROWTH, max(MIN_STEP_SHRINK, SAFETY * measure**-0.2)
+                )
+            return StepResult(
+                DenseOperator(shape, y1), h, min(h * factor, horizon), stage
+            )
+        h *= max(MIN_STEP_SHRINK, SAFETY * measure**-0.2)
 
 
 # ---------------------------------------------------------------------------
@@ -442,9 +432,19 @@ def _enter_frame(model: LindbladModel, rho: DenseOperator):
     there is one and the gauged state's imaginary part is exactly zero;
     otherwise the run is complex.  Both steps are exact: the restriction
     drops only exact zeros, and the phases are powers of i.
+
+    A ``rho`` whose relative Frobenius defect ||rho - rho^dag|| / ||rho||
+    exceeds 1e-10 raises SolverError: the generator's one-sided products
+    need a Hermitian state, and every step keeps it exactly Hermitian.
     """
     frame = WorkingFrame()
     mat = np.asarray(rho.matrix)
+    scale = max(float(np.linalg.norm(mat)), 1e-30)
+    defect = float(np.linalg.norm(mat - mat.conj().T)) / scale
+    if defect > 1e-10:
+        raise SolverError(
+            f"the initial state is not Hermitian (relative defect {defect:.2e})"
+        )
     moduli = conserved_charges(model)
     if moduli is not None and not isinstance(rho.shape, Sector):
         nonzero = mat != 0
@@ -470,14 +470,6 @@ def _enter_frame(model: LindbladModel, rho: DenseOperator):
     return frame, model, DenseOperator(rho.shape, mat.astype(np.complex128))
 
 
-def _soft_state_checks(mat: np.ndarray, t: float) -> str | None:
-    scale = max(float(np.linalg.norm(mat)), 1e-30)
-    defect = float(np.linalg.norm(mat - mat.conj().T)) / scale
-    if defect > 1e-10:
-        return f"hermiticity defect {defect:.2e} at t={t:.6g}"
-    return None
-
-
 def run_fixed(
     model: LindbladModel,
     rho0: DenseOperator,
@@ -493,12 +485,8 @@ def run_fixed(
     shape = state.shape
     t_final = config.final_time
     records: list[TrajectoryRecord] = []
-    warnings: list[str] = []
 
     def log(t, rho_mat, defect_rate, xi):
-        warning = _soft_state_checks(rho_mat, t)
-        if warning:
-            warnings.append(warning)
         records.append(
             TrajectoryRecord(
                 time=t,
@@ -507,7 +495,6 @@ def run_fixed(
                 xi=xi,
                 defect_rate=defect_rate,
                 accepted=True,
-                warning=warning,
             )
         )
 
@@ -529,8 +516,7 @@ def run_fixed(
             ledger = xi_step(ledger, t, rate, step.dt)
             log(t, rho.matrix, rate, ledger.xi)
         return RunResult(
-            DensityState(frame.leave(rho), t), ledger, tuple(records),
-            tuple(warnings), frame,
+            DensityState(frame.leave(rho), t), ledger, tuple(records), frame
         )
 
     # fixed-step schemes on a uniform grid
@@ -562,8 +548,7 @@ def run_fixed(
         rho = rho_new
         log(t, rho.matrix, rate, ledger.xi)
     return RunResult(
-        DensityState(frame.leave(rho), t), ledger, tuple(records),
-        tuple(warnings), frame,
+        DensityState(frame.leave(rho), t), ledger, tuple(records), frame
     )
 
 
@@ -602,7 +587,6 @@ def run_adaptive(
     t_final = config.final_time
     ledger = EstimatorLedger.empty()
     records: list[TrajectoryRecord] = []
-    warnings: list[str] = []
     h_next = None
 
     def budget(time):
@@ -663,9 +647,6 @@ def run_adaptive(
                 rho = restricted
                 stage = None
                 resize = "shrink"
-        warning = _soft_state_checks(rho.matrix, t)
-        if warning:
-            warnings.append(warning)
         records.append(
             TrajectoryRecord(
                 time=t,
@@ -675,20 +656,21 @@ def run_adaptive(
                 defect_rate=rate,
                 accepted=True,
                 resize=resize,
-                warning=warning,
             )
         )
     return RunResult(
-        DensityState(frame.leave(rho), t), ledger, tuple(records),
-        tuple(warnings), frame,
+        DensityState(frame.leave(rho), t), ledger, tuple(records), frame
     )
 
 
 def _try_shrink(shape: TruncationShape, config: SolverConfig):
+    """The shape shrunk by shrink_step, or None when it cannot shrink or
+    would keep every state (a cap that moves between two grades)."""
     try:
-        return shrink(shape, config.shrink_step)
+        shrunk = shrink(shape, config.shrink_step)
     except ShapeError:
         return None
+    return shrunk if dimension(shrunk) < dimension(shape) else None
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@
 Closed forms of the paper for the linear drive and the two-photon cat,
 the 2x2 block decomposition of a polynomial dissipator's defect, dense
 forms of the truncated generator, polynomial words as products of
-dense ladder matrices on a grown shape, and runs in complex arithmetic.
+dense ladder matrices on a grown shape, runs in complex arithmetic, and
+the trace norm of a Hermitian matrix from its eigenvalues.
 Each is written independently of the route the program takes, so the
 tests can hold the program to it.
 """
@@ -25,12 +26,31 @@ from certilind.fockspace import (
     embed,
 )
 from certilind import solver
-from certilind.lindblad import truncated_expr
-from certilind.operators import (
-    PolyOperator,
-    materialize_poly,
-    trace_norm,
-)
+from certilind.lindblad import shaped_generator, truncated_expr
+from certilind.operators import PolyOperator, materialize_poly
+
+HERMITIAN_DEFECT_GUARD = 1e-10
+
+
+def hermitian_trace_norm(mat) -> float:
+    """Trace norm of a Hermitian matrix: the sum of the absolute
+    eigenvalues of its Hermitian part.  A matrix whose relative Frobenius
+    defect ||M - M^dag|| / ||M|| exceeds HERMITIAN_DEFECT_GUARD raises
+    ValueError."""
+    mat = np.asarray(mat)
+    if not np.all(np.isfinite(mat)):
+        raise ValueError("trace norm of a non-finite matrix")
+    scale = max(float(np.linalg.norm(mat)), 1e-30)
+    defect = float(np.linalg.norm(mat - mat.conj().T)) / scale
+    if defect > HERMITIAN_DEFECT_GUARD:
+        raise ValueError(f"matrix flagged Hermitian has relative defect {defect:.3e}")
+    return float(np.abs(np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))).sum())
+
+
+def apply_truncated(model, t: float, rho: DenseOperator) -> DenseOperator:
+    """L_N(rho) on rho's shape, for a Hermitian ``rho``."""
+    gen = shaped_generator(model, rho.shape)
+    return DenseOperator(rho.shape, gen.apply(t, np.asarray(rho.matrix)))
 
 
 @lru_cache(maxsize=128)
@@ -158,7 +178,7 @@ def dissipator_defect_blocks(gamma: PolyOperator, rho: DenseOperator) -> float:
     defect += d @ emb @ gamma_n.conj().T
     defect -= 0.5 * (k @ emb + ddag @ (d @ emb) + g.conj().T @ emb)
     defect -= 0.5 * (emb @ k.conj().T + (emb @ ddag) @ d + emb @ g)
-    return trace_norm(defect, hermitian=True)
+    return hermitian_trace_norm(defect)
 
 
 def two_sided_generator(model, t, shape, sigma):

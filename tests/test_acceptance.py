@@ -17,7 +17,7 @@ from certilind.estimators import (
     model_space_defect,
     unitary_offblock_norm,
 )
-from certilind.fockspace import DenseOperator, Rect, embed
+from certilind.fockspace import DenseOperator, Rect, embed, trace_norm
 from certilind.lindblad import truncated_expr
 from models import (
     cat_buffer_model,
@@ -33,13 +33,13 @@ from certilind.operators import (
     displacement_q,
     fock_density,
     materialize_poly,
-    trace_norm,
 )
 from certilind.solver import SolverConfig, run_adaptive, run_fixed
 from oracles import (
     defect_cat_closed_form,
     defect_drive_closed_form,
     dissipator_defect_blocks,
+    hermitian_trace_norm,
     lindblad_superoperator,
 )
 
@@ -331,7 +331,7 @@ def _gkp_brute_force(amplitude, eta, eps, rho_small, big_cap):
             total += sign * (
                 g @ emb @ g.conj().T - 0.5 * (gdg @ emb + emb @ gdg)
             )
-    return trace_norm(total, hermitian=True)
+    return hermitian_trace_norm(total)
 
 
 def test_criterion_07_gkp_bound_validity():
@@ -466,7 +466,7 @@ def test_criterion_10_contraction_property():
             (dim, dim)
         )
         sigma = sigma + sigma.conj().T
-        before = trace_norm(sigma, hermitian=True)
+        before = hermitian_trace_norm(sigma)
         after = trace_norm((prop @ sigma.reshape(-1)).reshape(dim, dim))
         assert after <= before + 1e-12, f"{after} > {before}"
         checked += 1

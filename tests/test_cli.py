@@ -10,7 +10,7 @@ import pytest
 
 import certilind
 from certilind.cli import cmd_simulate, cmd_sweep, main
-from certilind.fockspace import Rect, WeightedTotal, dimension
+from certilind.fockspace import DenseOperator, Rect, WeightedTotal, dimension
 from certilind.lindblad import GkpDissipator, PolyExpr
 from certilind.modelfile import (
     ModelFile,
@@ -323,6 +323,18 @@ class TestCommands:
         assert cmd_simulate(path, str(out)) == 0
         final = load_state_json(out / "final_state.json")
         assert np.isclose(final.trace().real, 1.0, atol=1e-9)
+
+    def test_non_hermitian_initial_file_exit_code_and_message(self, tmp_path, capsys):
+        doc = PRESETS["exampleA"]()
+        built = ModelFile.from_dict(doc).build()
+        mat = built.initial.matrix.copy()
+        mat[0, 1] = 0.3
+        dump_state_json(DenseOperator(built.shape, mat), tmp_path / "init.json")
+        doc["initial"] = {"file": "init.json"}
+        doc["solver"]["T"] = 0.1
+        path = write_model(tmp_path, doc)
+        assert cmd_simulate(path, str(tmp_path / "out")) == 1
+        assert "not Hermitian" in capsys.readouterr().err
 
     @pytest.mark.parametrize("scheme", ["rk4", "adaptive_rk"])
     def test_negative_dt_exit_code_and_message(self, tmp_path, capsys, scheme):

@@ -17,7 +17,7 @@ from certilind.estimators import (
     unitary_offblock_norm,
     xi_step,
 )
-from certilind.fockspace import DenseOperator, Rect, embed
+from certilind.fockspace import DenseOperator, Rect, embed, trace_norm
 from certilind.lindblad import (
     CoefficientFn,
     GkpDissipator,
@@ -41,13 +41,13 @@ from certilind.operators import (
     displacement_q,
     fock_density,
     materialize_poly,
-    trace_norm,
 )
 from certilind.presets import preset_model_file
 from oracles import (
     defect_cat_closed_form,
     defect_drive_closed_form,
     dissipator_defect_blocks,
+    hermitian_trace_norm,
     lindblad_superoperator,
     rotation_invariant_density,
     two_sided_generator,
@@ -413,7 +413,7 @@ def gkp_brute_force_defect(amplitude, eta, eps, rho, n_big):
             return g @ rr @ g.conj().T - 0.5 * (gdg @ rr + rr @ gdg)
 
         total += dissipator(gk_big, emb) - dissipator(gk_small, emb)
-    return trace_norm(total, hermitian=True)
+    return hermitian_trace_norm(total)
 
 
 class TestCosineDefect:
@@ -467,8 +467,8 @@ class TestTimeBounds:
         sup = lindblad_superoperator(model, 0.0, Rect([n]))
         vec = rho.matrix.reshape(-1)
         lk1 = (np.linalg.matrix_power(sup, k + 1) @ vec).reshape(n + 1, n + 1)
-        remainder = dt ** (k + 1) / math.factorial(k + 1) * trace_norm(
-            lk1, hermitian=True
+        remainder = (
+            dt ** (k + 1) / math.factorial(k + 1) * hermitian_trace_norm(lk1)
         )
         assert np.isclose(bound, remainder, rtol=1e-10)
 
@@ -520,9 +520,9 @@ class TestTimeBounds:
         emb = np.zeros((n + 3, n + 3), dtype=complex)
         emb[: n + 1, : n + 1] = rho_mat
         comm1 = -1j * (h1 @ emb - emb @ h1)
-        term1 = dt**2 * 1.0 * trace_norm(comm1, hermitian=True)
+        term1 = dt**2 * 1.0 * hermitian_trace_norm(comm1)
         comm2 = -1j * math.sin(t_n) * (h1 @ comm1 - comm1 @ h1)
-        term2 = 0.5 * dt**2 * 1.0 * trace_norm(comm2, hermitian=True)
+        term2 = 0.5 * dt**2 * 1.0 * hermitian_trace_norm(comm2)
         term3 = dt * defect_drive_closed_form(math.sin(t_n), rho)
         assert np.isclose(got, term1 + term2 + term3, rtol=1e-10)
 
@@ -548,17 +548,17 @@ class TestTimeBounds:
         invariant = LindbladModel(
             2, hamiltonian=model.hamiltonian[:1], dissipators=model.dissipators
         )
-        term1 = dt**2 * 1.0 * trace_norm(drive_comm(emb), hermitian=True)
+        term1 = dt**2 * 1.0 * hermitian_trace_norm(drive_comm(emb))
         m = two_sided_generator(model, t_n, big, emb)  # L(t_n, rho), exact
         term2 = 0.5 * dt**2 * (
-            1.0 * trace_norm(drive_comm(m), hermitian=True)
-            + trace_norm(two_sided_generator(invariant, t_n, big, m), hermitian=True)
+            1.0 * hermitian_trace_norm(drive_comm(m))
+            + hermitian_trace_norm(two_sided_generator(invariant, t_n, big, m))
         )
         local = embed(
             DenseOperator(shape, two_sided_generator(model, t_n, shape, rho.matrix)),
             big,
         ).matrix
-        term3 = dt * trace_norm(m - local, hermitian=True)
+        term3 = dt * hermitian_trace_norm(m - local)
         assert term1 > 0 and term3 > 0
         assert np.isclose(got, term1 + term2 + term3, rtol=1e-10)
 

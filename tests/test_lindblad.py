@@ -24,7 +24,6 @@ from certilind.lindblad import (
     LindbladModel,
     ModelError,
     PolyExpr,
-    apply_truncated,
     conserved_charges,
     gauge_phases,
     gauged_model,
@@ -44,9 +43,11 @@ from models import (
     squeezed_cat_model,
     word_poly,
 )
-from certilind.operators import PolyOperator, trace_norm
+from certilind.operators import PolyOperator
 from certilind.presets import preset_model_file
 from oracles import (
+    apply_truncated,
+    hermitian_trace_norm,
     lindblad_superoperator,
     off_class,
     rotation_invariant_density,
@@ -243,9 +244,9 @@ class TestContraction:
             prop = expm(0.2 * sup)
             for _ in range(5):
                 sigma = random_hermitian(rng, d)
-                before = trace_norm(sigma, hermitian=True)
+                before = hermitian_trace_norm(sigma)
                 after_vec = prop @ sigma.reshape(-1)
-                after = trace_norm(after_vec.reshape(d, d), hermitian=True)
+                after = hermitian_trace_norm(after_vec.reshape(d, d))
                 assert after <= before + 1e-12
 
 

@@ -17,6 +17,7 @@ from certilind.fockspace import (
     WeightedTotal,
     basis_map,
     dimension,
+    trace_norm,
 )
 from certilind.lindblad import (
     CoefficientFn,
@@ -36,7 +37,7 @@ from models import (
     number_drive_model,
     word_poly,
 )
-from certilind.operators import PolyOperator, fock_density, trace_norm
+from certilind.operators import PolyOperator, fock_density
 from certilind.presets import preset_model_file
 from certilind.solver import (
     CertificationError,
@@ -341,6 +342,98 @@ class TestRunAdaptive:
             assert ra == rb
         assert np.array_equal(a.final.rho.matrix, b.final.rho.matrix)
         assert a.xi == b.xi
+
+
+class TestFakeShrinks:
+    """A shrink step that keeps every state of the working shape is no
+    shrink: the run keeps its shape, records no resize and pays no tail."""
+
+    @staticmethod
+    def run_recording_projections(monkeypatch, model, rho0, config):
+        projections = []
+        project = solver.project
+
+        def recording_project(op, shape):
+            projections.append((dimension(op.shape), dimension(shape)))
+            return project(op, shape)
+
+        monkeypatch.setattr(solver, "project", recording_project)
+        result = run_adaptive(model, rho0, config)
+        assert all(small < big for big, small in projections)
+        for prev, rec in zip(result.trajectory, result.trajectory[1:]):
+            if rec.resize == "shrink":
+                assert rec.dim < prev.dim
+        tails = [e.value for e in result.ledger.entries if e.kind == "shrink_jump"]
+        assert all(tail > 0 for tail in tails)
+        return result
+
+    def test_weighted_cap_between_grades(self, monkeypatch):
+        # grades are multiples of 1/2, so caps 43/10 down to 4 keep all
+        # 25 states; the model is defect-free, so xi never blocks a shrink
+        model = LindbladModel(
+            2,
+            hamiltonian=(
+                (CoefficientFn.constant(1.0), PolyExpr(word_poly((1, "Aa"), (1, "Bb"), modes=2))),
+            ),
+            dissipators=(
+                PolyExpr(word_poly((1, "a"), modes=2)),
+                PolyExpr(word_poly((1, "b"), modes=2)),
+            ),
+        )
+        shape = WeightedTotal(["1/2", "1"], "43/10")
+        assert dimension(shape) == dimension(WeightedTotal(["1/2", "1"], 4)) == 25
+        config = SolverConfig(
+            final_time=0.5, time_tol=1e-10, space_tol=1e-6, shrink_step="1/10"
+        )
+        result = self.run_recording_projections(
+            monkeypatch, model, fock_density(shape, [2, 1]), config
+        )
+        assert result.xi == 0.0
+        assert {rec.dim for rec in result.trajectory} == {25}
+
+    def test_parity_sector_cap_between_sector_states(self, monkeypatch):
+        # the even sector of Rect([5]) and of Rect([4]) both hold |0>, |2>, |4>
+        model = cat_model(1.0)
+        rho0 = fock_density(Rect([5]), [0])
+        config = SolverConfig(
+            final_time=0.2, time_tol=1e-10, space_tol=1e-2, shrink_step=1
+        )
+        result = self.run_recording_projections(monkeypatch, model, rho0, config)
+        assert result.frame.moduli == (2,)
+        assert all(rec.resize == "none" for rec in result.trajectory)
+
+
+class TestEntryCheck:
+    """run_fixed and run_adaptive check once, at entry, that the initial
+    state is Hermitian: the generator's one-sided products need it."""
+
+    @staticmethod
+    def example_a():
+        built = preset_model_file("exampleA").build()
+        mat = built.initial.matrix.copy()
+        mat[0, 1] = 0.3
+        rho0 = DenseOperator(built.initial.shape, mat)
+        return built, rho0, replace(built.config, final_time=0.1)
+
+    def test_run_fixed_rejects_non_hermitian_start(self):
+        built, rho0, config = self.example_a()
+        with pytest.raises(SolverError, match="Hermitian"):
+            run_fixed(built.model, rho0, built.shape, config)
+
+    def test_run_adaptive_rejects_non_hermitian_start(self):
+        built, rho0, config = self.example_a()
+        with pytest.raises(SolverError, match="Hermitian"):
+            run_adaptive(built.model, rho0, replace(config, scheme="adaptive_rk"))
+
+    def test_rounded_density_runs(self):
+        # A A^dag / tr from a BLAS product is Hermitian up to rounding only
+        rng = np.random.default_rng(211)
+        shape = Rect([24])
+        rho0 = DenseOperator(shape, random_density(rng, 25))
+        config = SolverConfig(final_time=0.05, time_tol=1e-10)
+        result = run_fixed(cat_model(1.0), rho0, shape, config)
+        assert result.final.time == pytest.approx(0.05)
+        assert np.array_equal(result.final.rho.matrix, result.final.rho.matrix.conj().T)
 
 
 class TestFirstSameAsLast:
