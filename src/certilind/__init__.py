@@ -15,7 +15,6 @@ from .estimators import (
     euler_timedep_step_bound,
     model_space_defect,
     taylor_step_bound,
-    unitary_offblock_norm,
     xi_step,
 )
 from .fockspace import (

@@ -55,7 +55,6 @@ __all__ = [
     "LEDGER_KINDS",
     "xi_step",
     "model_space_defect",
-    "unitary_offblock_norm",
     "cosine_defect",
     "taylor_step_bound",
     "euler_timedep_step_bound",
@@ -251,9 +250,10 @@ def model_space_defect(model: LindbladModel, t: float, rho: DenseOperator) -> fl
 # ---------------------------------------------------------------------------
 
 
-def unitary_offblock_norm(u: np.ndarray, m: np.ndarray, rows=None) -> float:
+def _offblock_norm(u: np.ndarray, kernel: np.ndarray, m: np.ndarray, rows) -> float:
     """Bound on ||P_perp U M||_1 for ``u`` the exact truncation of a
-    unitary U to a shape S and ``m`` an operator on S.
+    unitary U to a shape S, ``kernel`` = Id - u^dag u and ``m`` an
+    operator on S.
 
     P projects onto S, or, with ``rows``, onto the sub-shape of S whose
     complement in S those row indices select.  The part of U M beyond S
@@ -262,11 +262,6 @@ def unitary_offblock_norm(u: np.ndarray, m: np.ndarray, rows=None) -> float:
     own by the triangle inequality, so the value is exact without
     ``rows``.
     """
-    return _offblock_norm(u, np.eye(m.shape[0]) - u.conj().T @ u, m, rows)
-
-
-def _offblock_norm(u: np.ndarray, kernel: np.ndarray, m: np.ndarray, rows) -> float:
-    """``unitary_offblock_norm`` with its kernel Id - u^dag u given."""
     total = tr_sqrt_psd(m.conj().T @ kernel @ m)
     if rows is not None:
         block = u[rows] @ m

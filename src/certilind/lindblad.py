@@ -381,14 +381,6 @@ def truncated_expr(expr: OperatorExpr, shape: TruncationShape) -> DenseOperator:
 # ---------------------------------------------------------------------------
 
 
-def _diagonal_of(mat) -> np.ndarray | None:
-    """The diagonal of a dense or sparse matrix whose off-diagonal entries
-    are all zero, else None."""
-    diag = mat.diagonal().copy()
-    nonzero = mat.count_nonzero() if sparse.issparse(mat) else np.count_nonzero(mat)
-    return diag if nonzero == np.count_nonzero(diag) else None
-
-
 def _adjoint(mat: np.ndarray) -> np.ndarray:
     """C-contiguous conjugate transpose; a transposing copy conjugated in
     place is faster than ``mat.conj().T`` arithmetic at reference sizes."""
@@ -413,17 +405,21 @@ def _real_form(mat: np.ndarray, scale: complex = 1.0):
 
 
 class _ShapedGenerator:
-    """Materialized truncated operators of a model on one shape.
+    """Materialized truncated operators of a model on one shape, in the
+    form L_N(rho) = A rho + rho A^dag + sum_k w_k G_k rho G_k^dag.
 
-    Above a dimension threshold the operators are CSR (scipy's fast
-    sparse-times-dense path), and diagonal operators collapse to fused
-    broadcast updates.  Ladder-polynomial operators are banded, so this
-    cuts the cost of one generator application by an order of magnitude
-    at reference sizes.  Every operator is kept in its real form
-    (``_real_form``) when it has one: -iH with the factor u(t), and a
-    jump up to its global phase.  ``dtype`` is float64 when every stored
-    operator and factor is real; the generator then maps a real state to
-    a real state.
+    A = -(1/2) K - i sum_i u_i H_i (``a``) is one operator over the
+    constant Hamiltonian terms, with K = sum_k G_k^dag G_k and every
+    weight w_k = 1; each time-dependent term keeps its own -i H_i
+    (``varying``), scaled by u_i(t) at every call.  Above a dimension
+    threshold the operators are CSR (scipy's fast sparse-times-dense
+    path): ladder-polynomial operators are banded, so this cuts the
+    cost of one application by an order of magnitude at reference
+    sizes.  A polynomial model takes each -i H_i and each jump (up to
+    its global phase) in its real form (``_real_form``) when it has
+    one, so A is real when they all are.  ``dtype`` is float64 when
+    every stored operator and factor is real; the generator then maps
+    a real state to a real state.
     """
 
     def __init__(self, model: LindbladModel, shape: TruncationShape):
@@ -432,50 +428,39 @@ class _ShapedGenerator:
         self.dim = dimension(shape)
         self.use_sparse = self.dim >= SPARSE_DIM_THRESHOLD
 
-        def stored(expr, scale=1.0):
-            """(operator, factor) of an expression's truncation, in its
+        def stored(mat, scale=1.0):
+            """(factor, operator) of a truncation in storage form, in its
             real form for a polynomial model; GKP and cosine runs are
             complex, and their operators stay as they are."""
-            mat = truncated_expr(expr, shape).matrix
             if model.kind == "poly":
                 mat, scale = _real_form(mat, scale)
             if self.use_sparse:
-                return sparse.csr_matrix(mat), scale
-            return np.ascontiguousarray(mat), scale
+                return scale, sparse.csr_matrix(mat)
+            return scale, np.ascontiguousarray(mat)
 
-        self.h_diag = []  # (coeff, scale, d_i - d_j grid) for diagonal H terms
-        self.half_terms = []  # (coeff or None, scale, A): Z = scale u(t) A rho
-        self.jumps = []
-        self.k_grids = []  # fused -(gdg_i + gdg_j)/2 grids for diagonal gdg
+        # (weight, G), each jump up to its phase
+        self.jumps = [
+            (1.0, stored(truncated_expr(expr, shape).matrix)[1])
+            for expr in model.dissipators
+        ]
+        square = (self.dim, self.dim)
+        zero = sparse.csr_matrix(square) if self.use_sparse else np.zeros(square)
+        a = -0.5 * sum((g.conj().T @ g for _, g in self.jumps), zero)
+        self.varying = []  # (coeff, factor, op) with factor * op = -iH
         for coeff, expr in model.hamiltonian:
-            h, scale = stored(expr, -1j)
-            diag = _diagonal_of(h)
-            if diag is not None:
-                self.h_diag.append((coeff, scale, diag[:, None] - diag[None, :]))
+            factor, h = stored(truncated_expr(expr, shape).matrix, -1j)
+            if coeff.is_constant:
+                a = a + (factor * coeff.const_value) * h
             else:
-                self.half_terms.append((coeff, scale, h))
-        gdgs = []
-        for expr in model.dissipators:
-            g = stored(expr)[0]
-            self.jumps.append(g)
-            if self.use_sparse:
-                gdg = (g.conj().T @ g).tocsr()
-                gdg.sort_indices()
-            else:
-                gdg = g.conj().T @ g
-            gdgs.append(gdg)
-            kdiag = _diagonal_of(gdg)
-            if kdiag is not None:
-                self.k_grids.append(-0.5 * (kdiag[:, None] + kdiag[None, :]))
-            else:
-                self.half_terms.append((None, -0.5, gdg))
-        self.orbits = _rotation_orbits(model, shape, self.jumps, gdgs)
-        terms = self.half_terms + self.h_diag
+                self.varying.append((coeff, factor, h))
+        self.a = a
+        self.orbits = _rotation_orbits(model, shape, self.jumps)
         self.dtype = np.result_type(
             np.float64,
-            *(scale for _, scale, _ in terms),
-            *(op.dtype for _, _, op in terms),
-            *(g.dtype for g in self.jumps),
+            a.dtype,
+            *(factor for _, factor, _ in self.varying),
+            *(op.dtype for _, _, op in self.varying),
+            *(g.dtype for _, g in self.jumps),
         )
 
     def apply(self, t: float, rho: np.ndarray) -> np.ndarray:
@@ -484,66 +469,45 @@ class _ShapedGenerator:
         as complex.
 
         Every product is taken from the left: with rho Hermitian,
-        -i[H, rho] = Z + Z^dag for Z = -i H rho, -(1/2){K, rho} = Y + Y^dag
-        for Y = -(1/2) K rho, and G rho G^dag = G (G rho)^dag.  On a
-        non-Hermitian ``rho`` the result is not L_N(t, rho).
+        A rho + rho A^dag = Z + Z^dag for Z = A rho (plus the
+        time-dependent terms -i u(t) H rho), and G rho G^dag =
+        G (G rho)^dag.  On a non-Hermitian ``rho`` the result is not
+        L_N(t, rho).
 
         A GKP model whose dissipators form full rotation orbits maps a
         rotation-invariant ``rho`` (exact zeros off the classes m = n
-        mod 4) to -(1/2){K, rho} + sum_orbits w Gamma_0 rho Gamma_0^dag
-        with the off-class entries set to zero: the orbit sum of
+        mod 4) through its orbit jumps (4 m, Gamma_0), with the
+        off-class entries set to zero: the orbit sum of
         R^k X R^-k is 4 X on the classes and 0 off them.
         """
         if self.dtype.kind == "c" and rho.dtype.kind != "c":
             rho = rho.astype(self.dtype)
-        if self.orbits is not None:
-            mask, k_sum, reps = self.orbits
-            if not rho[mask].any():
-                half = k_sum @ rho
-                half *= -0.5
-                out = _adjoint(half)
-                out += half
-                for weight, g in reps:
-                    jump = g @ _adjoint(g @ rho)
-                    jump *= weight
-                    out += jump
-                out[mask] = 0.0
-                return out
-        half = None  # sum of the Z and Y terms
-        for coeff, scale, op in self.half_terms:
-            if coeff is not None:
-                u = coeff(t)
-                if u == 0.0:
-                    continue
-                scale = scale * u
-            z = op @ rho
-            z *= scale
-            if half is None:
-                half = z
-            else:
-                half += z
-        if half is None:
-            out = np.zeros_like(rho)
-        else:
-            out = _adjoint(half)
-            out += half
-        for g in self.jumps:
-            out += g @ _adjoint(g @ rho)
-        for coeff, scale, grid in self.h_diag:
+        jumps, mask = self.jumps, None
+        if self.orbits is not None and not rho[self.orbits[0]].any():
+            mask, jumps = self.orbits
+        half = self.a @ rho
+        for coeff, factor, op in self.varying:
             u = coeff(t)
             if u == 0.0:
                 continue
-            hr = grid * rho
-            hr *= scale * u
-            out += hr
-        for grid in self.k_grids:
-            out += grid * rho
+            z = op @ rho
+            z *= factor * u
+            half += z
+        out = _adjoint(half)
+        out += half
+        for weight, g in jumps:
+            jump = g @ _adjoint(g @ rho)
+            if weight != 1.0:
+                jump *= weight
+            out += jump
+        if mask is not None:
+            out[mask] = 0.0
         return out
 
 
-def _rotation_orbits(model: LindbladModel, shape: TruncationShape, jumps, gdgs):
-    """(off-class mask, K = sum Gamma_k^dag Gamma_k, [(4 m, Gamma_0)]) when
-    the model's GKP dissipators form full rotation orbits, else None.
+def _rotation_orbits(model: LindbladModel, shape: TruncationShape, jumps):
+    """(off-class mask, [(4 m, Gamma_0)]) when the model's GKP dissipators
+    form full rotation orbits, else None.
 
     Full orbits: every (A, eta, eps) appears in each sector 0..3 equally
     often, m times; its sector-0 jump then stands for the 4 m jumps of
@@ -558,11 +522,11 @@ def _rotation_orbits(model: LindbladModel, shape: TruncationShape, jumps, gdgs):
     if any(min(c) != max(c) for c in counts.values()):
         return None
     reps = {}
-    for expr, g in zip(model.dissipators, jumps):
+    for expr, (_, g) in zip(model.dissipators, jumps):
         key = (expr.amplitude, expr.eta, expr.eps)
         if expr.sector == 0:
             reps.setdefault(key, (4.0 * counts[key][0], g))
-    return _off_class_mask(shape), sum(gdgs[1:], gdgs[0]), list(reps.values())
+    return _off_class_mask(shape), list(reps.values())
 
 
 @lru_cache(maxsize=64)

@@ -361,8 +361,9 @@ def cosine_unitary_pair(
 
 def cosine_of(arg: PolyOperator, shape: TruncationShape) -> DenseOperator:
     """Exact truncation of cos(O) = (U + U^dag)/2 with U = exp(iO)."""
-    u, _ = cosine_unitary_pair(arg, shape)
-    return DenseOperator(shape, _hermitian_part(u.matrix))
+    c, d = _linear_qp_coefficients(arg)
+    u = _tensor_displacement(shape, (1j * c - d) / math.sqrt(2.0))
+    return DenseOperator(shape, _hermitian_part(u))
 
 
 # ---------------------------------------------------------------------------

@@ -599,9 +599,8 @@ def run_adaptive(
             h_start=h_next, first_stage=stage,
         )
         rate = model_space_defect(model, t + step.dt, step.rho_next)
-        d_xi = step.dt * rate
-        while ledger.xi + d_xi >= budget(t + step.dt):
-            # rejected: grow and recompute until the budget admits the step
+        if ledger.xi + step.dt * rate >= budget(t + step.dt):
+            # rejected: grow, then retake the step on the grown shape
             records.append(
                 TrajectoryRecord(
                     time=t + step.dt,
@@ -623,12 +622,8 @@ def run_adaptive(
             shape = new_shape
             rho = embed(rho, shape)
             h_next = step.h_next
-            step = adaptive_solve_one_step(
-                model, shape, rho, t, config.time_tol, horizon=t_final, h_start=h_next
-            )
-            rate = model_space_defect(model, t + step.dt, step.rho_next)
-            d_xi = step.dt * rate
-        # accepted
+            stage = None
+            continue
         rho = step.rho_next
         stage = step.last_stage
         t += step.dt

@@ -6,7 +6,9 @@ forms of the truncated generator, polynomial words as products of
 dense ladder matrices on a grown shape, runs in complex arithmetic, and
 the trace norm of a Hermitian matrix from its eigenvalues.
 Each is written independently of the route the program takes, so the
-tests can hold the program to it.
+tests can hold the program to it.  ``unitary_offblock_norm`` is the
+exception: it is the GKP bound's off-block norm with its kernel formed
+from ``u``, which the unitary-lemma tests compare with enlarged oracles.
 """
 
 import math
@@ -26,6 +28,7 @@ from certilind.fockspace import (
     embed,
 )
 from certilind import solver
+from certilind.estimators import _offblock_norm
 from certilind.lindblad import shaped_generator, truncated_expr
 from certilind.operators import PolyOperator, materialize_poly
 
@@ -45,6 +48,13 @@ def hermitian_trace_norm(mat) -> float:
     if defect > HERMITIAN_DEFECT_GUARD:
         raise ValueError(f"matrix flagged Hermitian has relative defect {defect:.3e}")
     return float(np.abs(np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))).sum())
+
+
+def unitary_offblock_norm(u: np.ndarray, m: np.ndarray, rows=None) -> float:
+    """Bound on ||P_perp U M||_1 for ``u`` the exact truncation of a
+    unitary U and ``m`` an operator on its shape (see ``_offblock_norm``),
+    with the kernel Id - u^dag u formed here."""
+    return _offblock_norm(u, np.eye(m.shape[0]) - u.conj().T @ u, m, rows)
 
 
 def apply_truncated(model, t: float, rho: DenseOperator) -> DenseOperator:

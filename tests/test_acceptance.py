@@ -15,7 +15,6 @@ from scipy.linalg import expm
 from certilind.estimators import (
     cosine_defect,
     model_space_defect,
-    unitary_offblock_norm,
 )
 from certilind.fockspace import DenseOperator, Rect, embed, trace_norm
 from certilind.lindblad import truncated_expr
@@ -41,6 +40,7 @@ from oracles import (
     dissipator_defect_blocks,
     hermitian_trace_norm,
     lindblad_superoperator,
+    unitary_offblock_norm,
 )
 
 ETA = 2.0 * math.sqrt(math.pi)

@@ -14,7 +14,6 @@ from certilind.estimators import (
     model_space_defect,
     taylor_step_bound,
     tr_sqrt_psd,
-    unitary_offblock_norm,
     xi_step,
 )
 from certilind.fockspace import DenseOperator, Rect, embed, trace_norm
@@ -51,6 +50,7 @@ from oracles import (
     lindblad_superoperator,
     rotation_invariant_density,
     two_sided_generator,
+    unitary_offblock_norm,
 )
 
 ETA_GRID = 2.0 * math.sqrt(math.pi)

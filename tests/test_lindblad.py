@@ -128,6 +128,10 @@ def assert_close_rel(got, want, rtol=1e-12):
 
 
 SIN = CoefficientFn(fn=math.sin, sup=1.0, dsup=1.0, label="sin(t)")
+SPARSE_CASES = [
+    "cat_buffer", "time_dependent", "gkp", "exampleA", "two_jumps",
+    "scaled_constant", "time_dependent_at_zero",
+]
 
 
 class TestOneSidedApply:
@@ -140,6 +144,33 @@ class TestOneSidedApply:
         "time_dependent": (cat_buffer_model(drive=SIN), Rect([4, 3]), 0.7),
         "gkp": (gkp_model(), Rect([14]), 0.0),
         "cosine": (cosine_hamiltonian_model([0.5], [0.3]), Rect([12]), 0.0),
+        # diagonal H and K
+        "exampleA": (preset_model_file("exampleA").build().model, Rect([9]), 0.0),
+        "two_jumps": (
+            LindbladModel(
+                1,
+                dissipators=[
+                    PolyExpr(word_poly((1, "a"))),
+                    PolyExpr(word_poly((1, "aa"), (-0.4, ""), (0.3j, "A"))),
+                ],
+            ),
+            Rect([9]),
+            0.0,
+        ),
+        "scaled_constant": (
+            LindbladModel(
+                1,
+                hamiltonian=[
+                    (CoefficientFn.constant(0.37), PolyExpr(word_poly((1, "aa"), (1, "AA")))),
+                    (CoefficientFn.constant(-2.5), PolyExpr(word_poly((1, "Aa")))),
+                ],
+                dissipators=[PolyExpr(word_poly((1, "a")))],
+            ),
+            Rect([9]),
+            0.0,
+        ),
+        # sin(0) = 0: the drive term is skipped
+        "time_dependent_at_zero": (cat_buffer_model(drive=SIN), Rect([4, 3]), 0.0),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -152,7 +183,7 @@ class TestOneSidedApply:
         sup = lindblad_superoperator(model, t, shape)
         assert_close_rel(got, (sup @ sigma.reshape(-1)).reshape(d, d))
 
-    @pytest.mark.parametrize("case", ["cat_buffer", "time_dependent", "gkp"])
+    @pytest.mark.parametrize("case", SPARSE_CASES)
     def test_sparse_factors_match_superoperator(self, case, monkeypatch):
         # below the dimension threshold only by lowering it for this test
         monkeypatch.setattr(lindblad, "SPARSE_DIM_THRESHOLD", 1)
