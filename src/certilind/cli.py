@@ -56,6 +56,14 @@ def _atomic_write(path: str, writer) -> None:
     os.replace(tmp, path)
 
 
+def _write_text(path: str, text: str) -> None:
+    def write(tmp):
+        with open(tmp, "w") as fh:
+            fh.write(text)
+
+    _atomic_write(path, write)
+
+
 def _run_built(built: BuiltModel):
     if built.adaptive_space:
         return run_adaptive(built.model, built.initial, built.config)
@@ -88,9 +96,9 @@ def _write_outputs(out_dir: str, built: BuiltModel, result, wall: float) -> None
         "wall_time_s": wall,
         "frame": asdict(result.frame),
     }
-    _atomic_write(
+    _write_text(
         os.path.join(out_dir, "summary.json"),
-        lambda p: open(p, "w").write(json.dumps(summary, indent=2, sort_keys=True)),
+        json.dumps(summary, indent=2, sort_keys=True),
     )
 
 
@@ -159,11 +167,9 @@ def cmd_sweep(model_path, shapes, out_dir=None, jobs=1) -> int:
     def one_point(shape):
         result = run_fixed(built.model, built.initial, shape, built.config)
         label = _shape_label(shape)
-        _atomic_write(
+        _write_text(
             os.path.join(out_dir, f"point_{label}.json"),
-            lambda p: open(p, "w").write(
-                json.dumps({"shape": shape_to_spec(shape), "xi": result.xi})
-            ),
+            json.dumps({"shape": shape_to_spec(shape), "xi": result.xi}),
         )
         return shape, result
 
@@ -237,28 +243,23 @@ def cmd_reproduce(preset: str, out_dir=None) -> int:
         return _fail(str(exc))
 
 
-def _write_model_and_simulate(name, out_dir, **kwargs) -> int:
-    mf = preset_model_file(name, **kwargs)
+def _write_model(name, out_dir, **kwargs) -> str:
     model_path = os.path.join(out_dir, "model.json")
     with open(model_path, "w") as fh:
-        fh.write(mf.to_json())
-    return cmd_simulate(model_path, out_dir)
+        fh.write(preset_model_file(name, **kwargs).to_json())
+    return model_path
 
 
 def _reproduce_simple(name):
     def run(out_dir):
-        return _write_model_and_simulate(name, out_dir)
+        return cmd_simulate(_write_model(name, out_dir), out_dir)
 
     return run
 
 
 def _reproduce_sweep(name, shapes):
     def run(out_dir):
-        mf = preset_model_file(name)
-        model_path = os.path.join(out_dir, "model.json")
-        with open(model_path, "w") as fh:
-            fh.write(mf.to_json())
-        return cmd_sweep(model_path, shapes, out_dir)
+        return cmd_sweep(_write_model(name, out_dir), shapes, out_dir)
 
     return run
 
@@ -267,7 +268,7 @@ def _reproduce_adaptive_1d(out_dir):
     for start in (15, 55):
         sub = os.path.join(out_dir, f"start_{start}")
         os.makedirs(sub, exist_ok=True)
-        code = _write_model_and_simulate("adaptive1d", sub, start=start)
+        code = cmd_simulate(_write_model("adaptive1d", sub, start=start), sub)
         if code:
             return code
     return 0

@@ -32,6 +32,7 @@ from .lindblad import (
     ModelError,
     _gkp_q_poly,
     _off_class_mask,
+    _phase_conjugate,
     _real_form,
     gauge_phases,
     grown_shape,
@@ -143,16 +144,16 @@ def xi_step(
 # ---------------------------------------------------------------------------
 
 
-def tr_sqrt_psd(mat: np.ndarray, floor: float = RADICAND_EIG_FLOOR) -> float:
+def tr_sqrt_psd(mat: np.ndarray) -> float:
     """tr sqrt of a PSD-by-construction radicand.
 
     The matrix is symmetrized and eigen-clipped at zero; an eigenvalue
-    below the floor signals an input that is not a truncated-unitary
+    below RADICAND_EIG_FLOOR signals an input that is not a truncated-unitary
     radicand and raises.
     """
     eigs = _hermitian_eigvalsh(mat)
     scale = max(1.0, float(np.abs(eigs).max(initial=0.0)))
-    if eigs.size and eigs.min() < floor * scale:
+    if eigs.size and eigs.min() < RADICAND_EIG_FLOOR * scale:
         raise EstimatorError(
             f"radicand eigenvalue {eigs.min():.3e} below tolerance"
         )
@@ -330,8 +331,7 @@ class _GkpContext:
 
     def sector_defect(self, rho: np.ndarray, sector: int) -> float:
         if sector % 4:
-            r = gauge_phases(self.shape, (sector,))
-            rho = (r.conj()[:, None] * rho) * r[None, :]
+            rho = _phase_conjugate(rho, gauge_phases(self.shape, (sector,)).conj())
         emb = _embed_array(rho, self.pos, self.dim2)
 
         t1 = max(float((self.t1_kernel * rho).sum().real), 0.0)

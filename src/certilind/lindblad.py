@@ -313,6 +313,12 @@ def gauge_phases(shape: TruncationShape, exponents: tuple[int, ...]) -> np.ndarr
     return phases
 
 
+def _phase_conjugate(mat: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """Phi M Phi^dag for the diagonal Phi = diag(phases); with powers of i
+    as phases every entry is exact.  Pass phases.conj() for Phi^dag M Phi."""
+    return (phases[:, None] * mat) * phases.conj()[None, :]
+
+
 # ---------------------------------------------------------------------------
 # exact truncation of operator expressions
 # ---------------------------------------------------------------------------
@@ -358,8 +364,7 @@ def _gkp_truncated_gamma(
     uq = u_block @ q_big[:, _embedding_indices(shape, big)]  # P U Q P, exact
     gamma0 = uq - np.eye(len(occ))
     if sector % 4:
-        r = gauge_phases(shape, (sector,))
-        gamma0 = (r[:, None] * gamma0) * r.conj()[None, :]
+        gamma0 = _phase_conjugate(gamma0, gauge_phases(shape, (sector,)))
     return DenseOperator(shape, gamma0)
 
 

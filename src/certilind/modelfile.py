@@ -36,7 +36,6 @@ __all__ = [
     "ModelFileError",
     "BuiltModel",
     "parse_poly_string",
-    "format_poly",
     "shape_from_spec",
     "shape_to_spec",
     "load_state_json",
@@ -202,23 +201,6 @@ def _assemble_terms(text, tokens, modes, params) -> PolyOperator:
     return PolyOperator(modes, terms)
 
 
-def format_poly(poly: PolyOperator) -> str:
-    """Canonical string form; reparses to an identical polynomial."""
-    if not poly.terms:
-        return "0*id"
-    pieces = []
-    for coeff, word in sorted(poly.terms, key=lambda cw: cw[1]):
-        if coeff.imag == 0.0:
-            cs = repr(coeff.real)
-        else:
-            cs = repr(coeff).strip("()")
-        letters = "*".join(
-            ("ad" if dag else "a") + str(mode) for mode, dag in word
-        )
-        pieces.append(f"{cs}*{letters}" if letters else f"{cs}*id")
-    return " + ".join(pieces).replace("+ -", "- ")
-
-
 # ---------------------------------------------------------------------------
 # coefficients
 # ---------------------------------------------------------------------------
@@ -328,19 +310,25 @@ def _cosine_arg_from_spec(spec: dict, modes: int) -> PolyOperator:
 # the file object
 # ---------------------------------------------------------------------------
 
+
+def _resize_step(raw):
+    """A grow or shrink step; a rational string is taken exactly."""
+    return Fraction(raw) if isinstance(raw, str) else raw
+
+
+# solver-section key -> (SolverConfig field, conversion of its value)
 _SOLVER_KEYS = {
-    "T",
-    "scheme",
-    "taylor_order",
-    "time_tol",
-    "dt",
-    "space_tol",
-    "downsize_factor",
-    "grow_step",
-    "shrink_step",
-    "max_dimension",
-    "time_certificate",
-    "adaptive_space",
+    "T": ("final_time", float),
+    "scheme": ("scheme", lambda raw: raw),
+    "taylor_order": ("taylor_order", int),
+    "time_tol": ("time_tol", float),
+    "dt": ("dt", float),
+    "space_tol": ("space_tol", float),
+    "downsize_factor": ("downsize_factor", float),
+    "grow_step": ("grow_step", _resize_step),
+    "shrink_step": ("shrink_step", _resize_step),
+    "max_dimension": ("max_dimension", int),
+    "time_certificate": ("enable_time_certificate", bool),
 }
 
 
@@ -390,7 +378,7 @@ class ModelFile:
         initial = doc.get("initial", {"fock": [0] * modes})
         _check_keys(initial, {"fock", "file"}, "initial")
         solver = dict(doc.get("solver", {}))
-        _check_keys(solver, _SOLVER_KEYS, "solver")
+        _check_keys(solver, {*_SOLVER_KEYS, "adaptive_space"}, "solver")
         return cls(
             modes=modes,
             shape=dict(doc["shape"]),
@@ -476,6 +464,11 @@ class ModelFile:
         )
         initial = self._build_initial(shape, base_dir)
         config, adaptive = self._build_config()
+        if adaptive and initial.shape != shape:
+            raise ModelFileError(
+                f"an adaptive run starts on the model's shape {shape}, but "
+                f"initial.file holds a state on {initial.shape}"
+            )
         return BuiltModel(model, shape, initial, config, adaptive)
 
     def _build_initial(self, shape, base_dir) -> DenseOperator:
@@ -494,35 +487,14 @@ class ModelFile:
         return load_state_json(path)
 
     def _build_config(self) -> tuple[SolverConfig, bool]:
-        s = dict(self.solver)
-        if "T" not in s:
+        if "T" not in self.solver:
             raise ModelFileError("solver section needs the final time 'T'")
-        adaptive = bool(s.pop("adaptive_space", False))
         kwargs = {
-            "final_time": float(s.pop("T")),
-            "scheme": s.pop("scheme", "adaptive_rk"),
+            name: convert(self.solver[key])
+            for key, (name, convert) in _SOLVER_KEYS.items()
+            if key in self.solver
         }
-        if "taylor_order" in s:
-            kwargs["taylor_order"] = int(s.pop("taylor_order"))
-        if "time_tol" in s:
-            kwargs["time_tol"] = float(s.pop("time_tol"))
-        if "dt" in s:
-            kwargs["dt"] = float(s.pop("dt"))
-        if "space_tol" in s:
-            kwargs["space_tol"] = float(s.pop("space_tol"))
-        if "downsize_factor" in s:
-            kwargs["downsize_factor"] = float(s.pop("downsize_factor"))
-        for key in ("grow_step", "shrink_step"):
-            if key in s:
-                raw = s.pop(key)
-                if isinstance(raw, str):
-                    raw = Fraction(raw)
-                kwargs[key] = raw
-        if "max_dimension" in s:
-            kwargs["max_dimension"] = int(s.pop("max_dimension"))
-        if "time_certificate" in s:
-            kwargs["enable_time_certificate"] = bool(s.pop("time_certificate"))
-        return SolverConfig(**kwargs), adaptive
+        return SolverConfig(**kwargs), bool(self.solver.get("adaptive_space", False))
 
 
 # ---------------------------------------------------------------------------

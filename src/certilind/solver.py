@@ -56,6 +56,7 @@ from .lindblad import (
     DensityState,
     LindbladModel,
     ModelError,
+    _phase_conjugate,
     conserved_charges,
     gauge_phases,
     gauged_model,
@@ -186,9 +187,7 @@ class WorkingFrame:
         the base basis: the phase undone exactly, then embedded."""
         mat = rho.matrix.astype(np.complex128)
         if self.gauge is not None:
-            phases = gauge_phases(rho.shape, self.gauge)
-            mat *= phases.conj()[:, None]
-            mat *= phases[None, :]
+            mat = _phase_conjugate(mat, gauge_phases(rho.shape, self.gauge).conj())
         return embed(DenseOperator(rho.shape, mat), base_shape(rho.shape))
 
 
@@ -304,7 +303,7 @@ def adaptive_solve_one_step(
     rho: DenseOperator,
     t: float,
     time_tol: float,
-    horizon: float | None = None,
+    horizon: float,
     h_start: float | None = None,
     first_stage: np.ndarray | None = None,
 ) -> StepResult:
@@ -312,7 +311,8 @@ def adaptive_solve_one_step(
 
     Returns the accepted (exactly Hermitian) state, the step the
     controller chose, the suggested next step size and the state's stage
-    L_shape(t + dt, rho_next).  Passing that stage back as
+    L_shape(t + dt, rho_next); the step never passes ``horizon``, the
+    run's final time (> t).  Passing that stage back as
     ``first_stage`` of the next step on the same shape saves one
     generator application (first same as last).  On a charge sector the
     error norms average over the base shape's entries, as if the state
@@ -323,8 +323,7 @@ def adaptive_solve_one_step(
     f = shaped_generator(model, shape).apply
     y = np.asarray(rho.matrix)
     count = dimension(base_shape(shape)) ** 2
-    horizon = horizon if horizon is not None else max(abs(t), 1.0)
-    remaining = horizon - t if horizon > t else horizon
+    remaining = horizon - t
     f0 = first_stage if first_stage is not None else f(t, y)
     if h_start and h_start > 0:
         h = h_start
@@ -401,7 +400,7 @@ def rk4_stepper(
 
 
 # ---------------------------------------------------------------------------
-# fixed-shape runs
+# runs on a fixed shape and on an adaptive one
 # ---------------------------------------------------------------------------
 
 
@@ -459,8 +458,7 @@ def _enter_frame(model: LindbladModel, rho: DenseOperator):
             mat = rho.matrix
     exponents = real_gauge(model)
     if exponents is not None:
-        phases = gauge_phases(rho.shape, exponents)
-        gauged = (phases[:, None] * mat) * phases.conj()[None, :]
+        gauged = _phase_conjugate(mat, gauge_phases(rho.shape, exponents))
         if not gauged.imag.any():
             return (
                 replace(frame, gauge=exponents),
@@ -470,6 +468,20 @@ def _enter_frame(model: LindbladModel, rho: DenseOperator):
     return frame, model, DenseOperator(rho.shape, mat.astype(np.complex128))
 
 
+def _record(*, t, rho, ledger, rate, accepted=True, resize="none"):
+    """The trajectory row of ``rho`` at time t, with xi from ``ledger``;
+    ``dim`` counts the states of the base shape of ``rho``."""
+    return TrajectoryRecord(
+        time=t,
+        dim=dimension(base_shape(rho.shape)),
+        trace_re=float(np.trace(rho.matrix).real),
+        xi=ledger.xi,
+        defect_rate=rate,
+        accepted=accepted,
+        resize=resize,
+    )
+
+
 def run_fixed(
     model: LindbladModel,
     rho0: DenseOperator,
@@ -477,52 +489,23 @@ def run_fixed(
     config: SolverConfig,
 ) -> RunResult:
     """Integrate to final_time on a fixed shape, accumulating xi at every
-    accepted step (or the per-step time bounds when the certificate is on)."""
+    accepted step (or the per-step time bounds when the certificate is on).
+    The adaptive_rk scheme runs the space-adaptive driver's loop with the
+    shape held fixed."""
     ledger = EstimatorLedger.empty()
     state, ledger = _prepare_initial(rho0, shape, ledger)
-    frame, model, state = _enter_frame(model, state)
-    base = base_shape(shape)
-    shape = state.shape
-    t_final = config.final_time
-    records: list[TrajectoryRecord] = []
-
-    def log(t, rho_mat, defect_rate, xi):
-        records.append(
-            TrajectoryRecord(
-                time=t,
-                dim=dimension(base),
-                trace_re=float(np.trace(rho_mat).real),
-                xi=xi,
-                defect_rate=defect_rate,
-                accepted=True,
-            )
-        )
-
+    frame, model, rho = _enter_frame(model, state)
     if config.scheme == "adaptive_rk":
-        t = 0.0
-        h_next = None
-        stage = None
-        rho = state
-        while t < t_final * (1 - 1e-15):
-            step = adaptive_solve_one_step(
-                model, shape, rho, t, config.time_tol, horizon=t_final,
-                h_start=h_next, first_stage=stage,
-            )
-            rho = step.rho_next
-            t += step.dt
-            h_next = step.h_next
-            stage = step.last_stage
-            rate = model_space_defect(model, t, rho)
-            ledger = xi_step(ledger, t, rate, step.dt)
-            log(t, rho.matrix, rate, ledger.xi)
+        rho, t, ledger, records = _run_dp5(model, rho, config, ledger, resize=False)
         return RunResult(
             DensityState(frame.leave(rho), t), ledger, tuple(records), frame
         )
 
     # fixed-step schemes on a uniform grid
+    t_final = config.final_time
     n_steps = max(1, int(round(t_final / config.dt)))
     dt = t_final / n_steps
-    rho = state
+    records: list[TrajectoryRecord] = []
     t = 0.0
     for n in range(n_steps):
         if config.enable_time_certificate:
@@ -546,15 +529,10 @@ def run_fixed(
             rate = model_space_defect(model, t, rho_new)
             ledger = xi_step(ledger, t, rate, dt)
         rho = rho_new
-        log(t, rho.matrix, rate, ledger.xi)
+        records.append(_record(t=t, rho=rho, ledger=ledger, rate=rate))
     return RunResult(
         DensityState(frame.leave(rho), t), ledger, tuple(records), frame
     )
-
-
-# ---------------------------------------------------------------------------
-# space-adaptive driver
-# ---------------------------------------------------------------------------
 
 
 def run_adaptive(
@@ -577,15 +555,34 @@ def run_adaptive(
     if config.scheme != "adaptive_rk":
         raise SolverError("run_adaptive drives the adaptive_rk scheme")
     frame, model, rho = _enter_frame(model, rho0)
-    shape = rho.shape
-    for name in ("grow_step", "shrink_step"):
-        try:
-            _resize_increment(shape, getattr(config, name))
-        except ShapeError as exc:
-            raise SolverError(f"{name}: {exc}") from exc
+    rho, t, ledger, records = _run_dp5(
+        model, rho, config, EstimatorLedger.empty(), resize=True
+    )
+    return RunResult(
+        DensityState(frame.leave(rho), t), ledger, tuple(records), frame
+    )
+
+
+def _run_dp5(
+    model: LindbladModel,
+    rho: DenseOperator,
+    config: SolverConfig,
+    ledger: EstimatorLedger,
+    resize: bool,
+):
+    """The DP5 loop of both drivers, from t = 0 on the shape of ``rho``
+    (in the working frame) to final_time: the final state and time, the
+    ledger and the trajectory.  With ``resize`` the space controller of
+    ``run_adaptive`` grows and shrinks the shape; without it every step
+    is accepted on the one shape, and the loop is ``run_fixed``'s."""
+    if resize:
+        for name in ("grow_step", "shrink_step"):
+            try:
+                _resize_increment(rho.shape, getattr(config, name))
+            except ShapeError as exc:
+                raise SolverError(f"{name}: {exc}") from exc
     t = 0.0
     t_final = config.final_time
-    ledger = EstimatorLedger.empty()
     records: list[TrajectoryRecord] = []
     h_next = None
 
@@ -595,32 +592,26 @@ def run_adaptive(
     stage = None  # L_N at the current state; dropped whenever the shape changes
     while t < t_final * (1 - 1e-15):
         step = adaptive_solve_one_step(
-            model, shape, rho, t, config.time_tol, horizon=t_final,
+            model, rho.shape, rho, t, config.time_tol, t_final,
             h_start=h_next, first_stage=stage,
         )
         rate = model_space_defect(model, t + step.dt, step.rho_next)
-        if ledger.xi + step.dt * rate >= budget(t + step.dt):
+        if resize and ledger.xi + step.dt * rate >= budget(t + step.dt):
             # rejected: grow, then retake the step on the grown shape
             records.append(
-                TrajectoryRecord(
-                    time=t + step.dt,
-                    dim=dimension(base_shape(shape)),
-                    trace_re=float(np.trace(step.rho_next.matrix).real),
-                    xi=ledger.xi,
-                    defect_rate=rate,
-                    accepted=False,
-                    resize="grow",
+                _record(
+                    t=t + step.dt, rho=step.rho_next, ledger=ledger, rate=rate,
+                    accepted=False, resize="grow",
                 )
             )
-            new_shape = grow(shape, config.grow_step)
-            if dimension(base_shape(new_shape)) > config.max_dimension:
+            grown = grow(rho.shape, config.grow_step)
+            if dimension(base_shape(grown)) > config.max_dimension:
                 raise CertificationError(
                     f"space budget unreachable: growing past "
-                    f"{dimension(base_shape(shape))} exceeds max_dimension="
+                    f"{dimension(base_shape(rho.shape))} exceeds max_dimension="
                     f"{config.max_dimension}"
                 )
-            shape = new_shape
-            rho = embed(rho, shape)
+            rho = embed(rho, grown)
             h_next = step.h_next
             stage = None
             continue
@@ -629,33 +620,21 @@ def run_adaptive(
         t += step.dt
         h_next = step.h_next
         ledger = xi_step(ledger, t, rate, step.dt)
-        resize = "none"
-        threshold = budget(t) / config.downsize_factor
-        # the discarded tail is a trace norm (>= 0): no shrink can pass
-        # once xi alone reaches the threshold, so skip the projection
-        shrunk = _try_shrink(shape, config) if ledger.xi < threshold else None
-        if shrunk is not None:
-            restricted, tail = project(rho, shrunk)
-            if ledger.xi + tail < threshold:
-                ledger = ledger.record(t, "shrink_jump", tail)
-                shape = shrunk
-                rho = restricted
-                stage = None
-                resize = "shrink"
-        records.append(
-            TrajectoryRecord(
-                time=t,
-                dim=dimension(base_shape(shape)),
-                trace_re=float(np.trace(rho.matrix).real),
-                xi=ledger.xi,
-                defect_rate=rate,
-                accepted=True,
-                resize=resize,
-            )
-        )
-    return RunResult(
-        DensityState(frame.leave(rho), t), ledger, tuple(records), frame
-    )
+        change = "none"
+        if resize:
+            threshold = budget(t) / config.downsize_factor
+            # the discarded tail is a trace norm (>= 0): no shrink can pass
+            # once xi alone reaches the threshold, so skip the projection
+            shrunk = _try_shrink(rho.shape, config) if ledger.xi < threshold else None
+            if shrunk is not None:
+                restricted, tail = project(rho, shrunk)
+                if ledger.xi + tail < threshold:
+                    ledger = ledger.record(t, "shrink_jump", tail)
+                    rho = restricted
+                    stage = None
+                    change = "shrink"
+        records.append(_record(t=t, rho=rho, ledger=ledger, rate=rate, resize=change))
+    return rho, t, ledger, records
 
 
 def _try_shrink(shape: TruncationShape, config: SolverConfig):

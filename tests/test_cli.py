@@ -16,7 +16,6 @@ from certilind.modelfile import (
     ModelFile,
     ModelFileError,
     dump_state_json,
-    format_poly,
     load_state_json,
     parse_poly_string,
     shape_from_spec,
@@ -53,6 +52,23 @@ def cat_doc(cap=12, **solver):
         "initial": {"fock": [0]},
         "solver": base,
     }
+
+
+def format_poly(poly: PolyOperator) -> str:
+    """Canonical string form; reparses to an identical polynomial.  A
+    complex coefficient is written as two terms of its word: the real
+    part, then the imaginary part."""
+    if not poly.terms:
+        return "0*id"
+    pieces = []
+    for coeff, word in sorted(poly.terms, key=lambda cw: cw[1]):
+        letters = "*".join(("ad" if dag else "a") + str(mode) for mode, dag in word)
+        letters = letters or "id"
+        if coeff.real != 0.0 or coeff.imag == 0.0:
+            pieces.append(f"{coeff.real!r}*{letters}")
+        if coeff.imag != 0.0:
+            pieces.append(f"{coeff.imag!r}j*{letters}")
+    return " + ".join(pieces).replace("+ -", "- ")
 
 
 class TestPolyGrammar:
@@ -96,6 +112,17 @@ class TestPolyGrammar:
     def test_format_roundtrip(self):
         p = parse_poly_string("0.5j*a0^2*ad1 - 3*id + alpha*a1", 2, {"alpha": 1.5})
         assert parse_poly_string(format_poly(p), 2, {}) == p
+        # coefficients with a real and an imaginary part; (1+2j)*a0 was
+        # once written as 1+2j*a0, which reparses as 1*id + 2j*a0
+        a0, ad0 = ((0, False),), ((0, True),)
+        for terms in (
+            [(1 + 2j, a0)],
+            [(3.0, ()), (-1 - 2j, ad0)],
+            [(-1 - 2j, ()), (1 + 2j, a0), (-0.5j, ad0 + a0)],
+            [(1e-05 - 2.5e7j, a0 + a0)],
+        ):
+            q = PolyOperator(1, terms)
+            assert parse_poly_string(format_poly(q), 1, {}) == q
 
 
 class TestShapeSpec:
@@ -285,7 +312,8 @@ class TestCommands:
         out_sim = tmp_path / "sim"
         assert cmd_sweep(path, "12", str(out_sweep)) == 0
         assert cmd_simulate(path, str(out_sim)) == 0
-        rows = list(csv.reader((out_sweep / "error_vs_N.csv").open()))
+        with (out_sweep / "error_vs_N.csv").open() as fh:
+            rows = list(csv.reader(fh))
         assert rows[0] == ["N1", "xi_T", "dist_to_ref"]
         assert len(rows) == 2
         summary = json.loads((out_sim / "summary.json").read_text())
@@ -296,7 +324,8 @@ class TestCommands:
         path = write_model(tmp_path, cat_doc(cap=16))
         out = tmp_path / "sweep"
         assert cmd_sweep(path, "6,8,10,12,16", str(out), jobs=2) == 0
-        rows = list(csv.reader((out / "error_vs_N.csv").open()))
+        with (out / "error_vs_N.csv").open() as fh:
+            rows = list(csv.reader(fh))
         data = {int(r[0]): (float(r[1]), float(r[2])) for r in rows[1:]}
         xi_ref = data[16][0]
         for n, (xi, dist) in data.items():
@@ -323,6 +352,20 @@ class TestCommands:
         assert cmd_simulate(path, str(out)) == 0
         final = load_state_json(out / "final_state.json")
         assert np.isclose(final.trace().real, 1.0, atol=1e-9)
+
+    def test_adaptive_initial_file_on_another_shape(self, tmp_path, capsys):
+        # an adaptive run starts on the model's shape; it once started on
+        # the state file's shape instead (41 states where a fixed run
+        # projects to 16)
+        dump_state_json(fock_density(Rect([40]), [0]), tmp_path / "init.json")
+        doc = PRESETS["adaptive1d"](start=15)
+        doc["initial"] = {"file": "init.json"}
+        path = write_model(tmp_path, doc)
+        assert cmd_simulate(path, str(tmp_path / "out")) == 1
+        err = capsys.readouterr().err
+        assert "shape Rect(caps=(15,))" in err
+        assert "state on Rect(caps=(40,))" in err
+        assert not (tmp_path / "out").exists()
 
     def test_non_hermitian_initial_file_exit_code_and_message(self, tmp_path, capsys):
         doc = PRESETS["exampleA"]()
@@ -362,7 +405,8 @@ class TestCommands:
     def test_non_finite_horizon_exit_code_and_message(self, tmp_path, capsys):
         # "T": NaN once took no step and certified xi = 0.0 with exit 0
         path = write_model(tmp_path, cat_doc(T=float("nan")))
-        assert "NaN" in open(path).read()
+        with open(path) as fh:
+            assert "NaN" in fh.read()
         assert cmd_simulate(path, str(tmp_path / "out")) == 1
         assert "final_time must be finite" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()

@@ -322,6 +322,25 @@ class TestRunAdaptive:
         with pytest.raises(CertificationError):
             run_adaptive(model, rho0=fock_density(Rect([6]), [0]), config=config)
 
+    def test_unbound_budget_on_a_fixed_shape_equals_run_fixed(self):
+        # both drivers run one DP5 loop: with a budget that never binds and
+        # a shape that cannot shrink (the parity sector of Rect([3]) in the
+        # real gauge; shrinking by 4 leaves no state) nothing resizes, so
+        # the adaptive run is the fixed one, bit for bit
+        built = preset_model_file("exampleC", cap=3).build()
+        config = SolverConfig(
+            final_time=0.3, time_tol=1e-12, space_tol=1e300, shrink_step=4
+        )
+        fixed = run_fixed(built.model, built.initial, built.shape, config)
+        adaptive = run_adaptive(built.model, built.initial, config)
+        assert fixed.frame.moduli == (2,) and fixed.frame.gauge is not None
+        assert len(fixed.trajectory) == 27
+        assert adaptive.trajectory == fixed.trajectory
+        assert adaptive.ledger.entries == fixed.ledger.entries
+        assert adaptive.frame == fixed.frame
+        assert adaptive.final.time == fixed.final.time
+        assert adaptive.final.rho.matrix.tobytes() == fixed.final.rho.matrix.tobytes()
+
     def test_determinism(self):
         model = cat_model(1.0)
         config = SolverConfig(
