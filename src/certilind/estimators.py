@@ -3,8 +3,9 @@
 Everything returned here is a rigorous upper bound (or the exact value)
 of a trace-norm defect, suitable for accumulation into the certified
 estimator xi.  Polynomial defects are computed exactly on margin-grown
-shapes; unitary-type content is bounded through the truncated-unitary
-norm identity ||P_perp U M||_1 = tr sqrt(M^dag (Id - U_N^dag U_N) M).
+shapes; unitary-type content is bounded through ||P_perp U M||_1, the
+singular-value sum of the exactly known rows of U below the shape
+applied to M, with no Gram radicand.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .fockspace import (
     trace_norm,
 )
 from .lindblad import (
+    _I_POWERS,
     CoefficientFn,
     LindbladModel,
     ModelError,
@@ -45,7 +47,6 @@ from .operators import (
     _hermitian_part,
     cosine_unitary_pair,
     displacement_block,
-    displacement_q,
     materialize_poly,
 )
 
@@ -227,14 +228,15 @@ def model_space_defect(model: LindbladModel, t: float, rho: DenseOperator) -> fl
         return _defect_context(model, rho.shape).defect(t, mat)
     total = 0.0
     if model.kind == "gkp":
-        # each rotated dissipator: the base-sector functional of the
-        # rotated state.  On a rotation-invariant state the rotation
-        # multiplies every nonzero entry by a phase that is exactly 1, so
-        # every sector of an (A, eta, eps) takes sector 0's value
+        # each rotated dissipator: the sector-1 functional of the rotated
+        # state.  On a rotation-invariant state the rotation multiplies
+        # every nonzero entry by a phase that is exactly 1, so every
+        # sector of an (A, eta, eps) takes sector 1's value, which needs
+        # no phase product
         invariant = not mat[_off_class_mask(rho.shape)].any()
         values = {}
         for diss in model.dissipators:
-            key = (diss.amplitude, diss.eta, diss.eps, 0 if invariant else diss.sector)
+            key = (diss.amplitude, diss.eta, diss.eps, 1 if invariant else diss.sector)
             if key not in values:
                 ctx = _gkp_context(diss.amplitude, diss.eta, diss.eps, rho.shape)
                 values[key] = ctx.sector_defect(mat, key[3])
@@ -247,115 +249,131 @@ def model_space_defect(model: LindbladModel, t: float, rho: DenseOperator) -> fl
 
 
 # ---------------------------------------------------------------------------
-# unitary estimates
-# ---------------------------------------------------------------------------
-
-
-def _offblock_norm(u: np.ndarray, kernel: np.ndarray, m: np.ndarray, rows) -> float:
-    """Bound on ||P_perp U M||_1 for ``u`` the exact truncation of a
-    unitary U to a shape S, ``kernel`` = Id - u^dag u and ``m`` an
-    operator on S.
-
-    P projects onto S, or, with ``rows``, onto the sub-shape of S whose
-    complement in S those row indices select.  The part of U M beyond S
-    has the trace norm tr sqrt(M^dag (Id - u^dag u) M), by the
-    truncated-unitary norm identity; the selected rows of u M add their
-    own by the triangle inequality, so the value is exact without
-    ``rows``.
-    """
-    total = tr_sqrt_psd(m.conj().T @ kernel @ m)
-    if rows is not None:
-        block = u[rows] @ m
-        # a single row's trace norm is its Euclidean norm
-        if block.shape[0] == 1:
-            total += float(np.linalg.norm(block))
-        else:
-            total += trace_norm(block)
-    return total
-
-
-# ---------------------------------------------------------------------------
 # GKP dissipator bound
 # ---------------------------------------------------------------------------
 
 
+def _offband_pad(beta: complex, top: int) -> int:
+    """The number of rows past level ``top`` over which the off band of
+    D(beta) restricted to levels n <= top is taken:
+    8 |beta| sqrt(top + 1) + 8 |beta|^2, at least 30.  Past them the
+    entries fall off faster than geometrically, far below the rounding
+    of the values kept."""
+    b = abs(beta)
+    return max(30, int(math.ceil(8.0 * b * math.sqrt(top + 1.0) + 8.0 * b**2)))
+
+
+def _sector1(block: np.ndarray, row0: int = 0) -> np.ndarray:
+    """R B R^dag for R = diag(i^n) and a block B whose rows start at
+    level ``row0`` and columns at level 0: entry (m, n) times i^(m - n),
+    exactly.  A float64 array when the product's imaginary part is exactly
+    zero, as for a block whose entries carry the phase i^(m - n)."""
+    levels = np.arange(row0, row0 + block.shape[0])[:, None] - np.arange(block.shape[1])
+    out = _I_POWERS[levels % 4] * block
+    return out if out.imag.any() else out.real
+
+
+def _compressed(factor: np.ndarray):
+    """(S_r Vh_r, S_d Vh_d) from the SVD factor = W S Vh: the rows of the
+    singular values above n eps sigma_max (n the column count), and of
+    the dropped ones.  W is an isometry, so ||factor M||_1 <=
+    ||S_r Vh_r M||_1 + ||S_d Vh_d M||_1; a zero factor keeps no row."""
+    _, sv, vh = np.linalg.svd(factor, full_matrices=False)
+    rank = int(np.count_nonzero(sv > factor.shape[1] * np.finfo(float).eps * sv[0]))
+    rows = sv[:, None] * vh
+    return rows[:rank], rows[rank:]
+
+
 class _GkpContext:
-    """Exactly-truncated building blocks for the stabilizer defect bound,
-    shared across rotation sectors and time steps."""
+    """Exactly truncated building blocks of the stabilizer defect bound of
+    one (A, eta, eps) on a single-mode shape with levels 0..N, shared
+    across rotation sectors and time steps.
+
+    With U = exp(i eta q), Q = A (Id - eps p) and V = Id - eps p -
+    eps eta q, the dissipator Gamma = U Q - Id has, on rho = P_N rho P_N,
+    the bound t1 + ... + t5 of ||(L - L_N) rho||_1, where B = P_N U Q P_N
+    and P_(N+1) Q P_N is the exact degree-1 block:
+      t1 = Re tr((Q^dag P_(N+1) Q - B^dag B) rho), the trace lost;
+      t2 = 2 ||P_perp U Q rho B^dag||_1 and t4 = ||P_perp U Q rho||_1,
+      the off blocks of the jump sandwich;
+      t3 = ||Q^dag Q rho - B^dag B rho||_1, the anticommutator mismatch;
+      t5 = A ||P_perp U^dag V rho||_1, the BCH companion term.
+    In each off-block norm ||P_perp W M||_1 the row N + 1 of W and the
+    rows beyond it enter by the triangle inequality.  The rows beyond
+    are F = P_perp(N+1) U P_(N+1), the exact rows of U over the window
+    of ``_offband_pad``, or, for U^dag = D(-beta) = P D(beta) P (P the
+    parity), the parity-flipped F.  F and t3's kernel are
+    compressed once by one SVD each (``_compressed``): their kept rows
+    are folded into the fixed left factors, and each dropped part
+    enters as the explicit tail ||dropped left||_1 ||right||_2 ||rho||_F,
+    which dominates its share by Hoelder's inequality (the spectral norm
+    of rho is at most its Frobenius norm).  So one step takes one
+    stacked product and four small SVDs, and no eigensolve.
+
+    The blocks are kept in the sector-1 frame, R B R^dag for
+    R = diag(i^n): entry (m, n) of U, Q and p carries the phase
+    i^(m - n), so every block is real there except V (q is imaginary).
+    Sector s is evaluated on R^(1-s) rho R^(s-1).
+    """
 
     def __init__(self, amplitude: float, eta: float, eps: float, shape: TruncationShape):
         if shape.mode_count != 1:
             raise EstimatorError("GKP bound requires a single-mode shape")
+        d = self.dim = dimension(shape)
+        self.shape = shape
+        self.amplitude = amplitude
         g1 = _grow_by_margin(shape, (1,))
         g2 = _grow_by_margin(shape, (2,))
-        self.dim = dimension(shape)
-        self.dim2 = dimension(g2)
-        self.pos = _embedding_indices(shape, g2)
-        self.beyond = slice(self.dim, None)  # rows of g1 outside the shape
-        pos_g1 = _embedding_indices(g1, g2)
-        self.g1 = np.ix_(pos_g1, pos_g1)
-        self.u2 = displacement_q(g2, eta).matrix  # exact truncation to g2
-        self.w1 = self.u2[self.g1]  # U_(N+1)
-        self.w1_dag = self.u2.conj().T[self.g1]
-        u1 = np.zeros_like(self.u2)
-        u1[self.g1] = self.w1  # U_(N+1) embedded in g2
+        beta = 1j * eta / math.sqrt(2.0)
+        table = displacement_block(d + 1 + _offband_pad(beta, d), d + 1, beta)
+        u = _sector1(table[:d])  # P_N U P_(N+1)
+        u_row = _sector1(table[d : d + 1], row0=d)  # row N + 1 of U P_(N+1)
+        f = _sector1(table[d + 1 :], row0=d + 1)  # F
         q_poly = _gkp_q_poly(amplitude, eps)
-        self.q = materialize_poly(q_poly, g2).matrix
-        qdq = materialize_poly(q_poly.dag() * q_poly, g2).matrix
-        # BCH companion (Id - eps p - eps eta q), without the amplitude
+        q = _sector1(materialize_poly(q_poly, g1).matrix[:, :d])  # P_(N+1) Q P_N
         v_poly = (
             PolyOperator.identity(1)
             - eps * PolyOperator.momentum(1, 0)
             - eps * eta * PolyOperator.position(1, 0)
         )
-        self.v = materialize_poly(v_poly, g2).matrix
-        self.amplitude = amplitude
-        self.shape = shape
-        # state-independent kernel of the Q^dag Q mismatch term
-        uq = u1 @ self.q
-        uq[:, self.dim :] = 0.0  # U_(N+1) Q P_N
-        s2 = uq.copy()
-        s2[self.dim :, :] = 0.0  # P_N U Q P_N
-        z = self.q.conj().T @ (u1.conj().T @ s2)
-        z[self.dim :, :] = 0.0  # leading P_N
-        self.a2_kernel = qdq - z
-        # t1 = tr(Q rho Q^dag) - tr(P_N U Q rho Q^dag U^dag P_N) = Re tr(T rho)
-        # with T = Q^dag (Id - U^dag P_N U) Q on the shape, stored transposed
-        u_n = self.u2[: self.dim]
-        t = self.q.conj().T @ (np.eye(self.dim2) - u_n.conj().T @ u_n) @ self.q
-        self.t1_kernel = np.ascontiguousarray(t[np.ix_(self.pos, self.pos)].T)
-        # Id - W^dag W of the two truncated unitaries of the off-block terms
-        eye1 = np.eye(self.w1.shape[0])
-        self.w1_kernel = eye1 - self.w1.conj().T @ self.w1
-        self.w1_dag_kernel = eye1 - self.w1_dag.conj().T @ self.w1_dag
+        v = _sector1(materialize_poly(v_poly, g1).matrix[:, :d])
+        qdq = _sector1(materialize_poly(q_poly.dag() * q_poly, g2).matrix[:, :d])
+        b = u @ q
+        bdb = b.conj().T @ b
+        self.t1_kernel = np.ascontiguousarray((q.conj().T @ q - bdb).T)
+        self.b_adj = np.ascontiguousarray(b.conj().T)
+        kernel3 = qdq.copy()
+        kernel3[:d] -= bdb
+        g, g_dropped = _compressed(f)
+        g3, g3_dropped = _compressed(kernel3)
+        # U^dag's rows: the parity flips the columns (and the row's sign)
+        parity = (-1.0) ** np.arange(d + 1)
+        g_v = (g * parity) @ v
+        row_v = (u_row * parity) @ v
+        self.rank = g.shape[0]
+        self.left = np.vstack(
+            [g @ q, g_v.real, g_v.imag, g3, u_row @ q, row_v.real, row_v.imag]
+        )
+        self.tail = (
+            trace_norm(g_dropped @ q) * (1.0 + 2.0 * np.linalg.norm(b, 2))
+            + amplitude * trace_norm((g_dropped * parity) @ v)
+            + trace_norm(g3_dropped)
+        )
 
     def sector_defect(self, rho: np.ndarray, sector: int) -> float:
-        if sector % 4:
-            rho = _phase_conjugate(rho, gauge_phases(self.shape, (sector,)).conj())
-        emb = _embed_array(rho, self.pos, self.dim2)
-
+        if sector != 1:
+            rho = _phase_conjugate(rho, gauge_phases(self.shape, ((1 - sector) % 4,)))
         t1 = max(float((self.t1_kernel * rho).sum().real), 0.0)
-
-        # the off-block terms ||P_N_perp W M||_1 have M supported on g1,
-        # where U_(N+1) is the exact truncation of W
-        m_uq = self.q @ emb  # Q rho, exact, on g1
-        x = m_uq @ self.q.conj().T  # Q rho Q^dag
-        m_cross = x @ self.u2.conj().T
-        m_cross[:, self.dim :] = 0.0  # right factor U^dag P_N
-        t2 = 2.0 * _offblock_norm(
-            self.w1, self.w1_kernel, m_cross[self.g1], self.beyond
-        )
-
-        t3 = trace_norm(self.a2_kernel @ emb)
-
-        t4 = _offblock_norm(self.w1, self.w1_kernel, m_uq[self.g1], self.beyond)
-
-        m_v = self.v @ emb
-        t5 = self.amplitude * _offblock_norm(
-            self.w1_dag, self.w1_dag_kernel, m_v[self.g1], self.beyond
-        )
-
-        return t1 + t2 + t3 + t4 + t5
+        r = self.rank
+        y = self.left @ rho
+        x4, x5, x3 = y[:r], y[r : 2 * r] + 1j * y[2 * r : 3 * r], y[3 * r : -3]
+        w4, w5 = y[-3], y[-2] + 1j * y[-1]  # the rows N + 1
+        t2 = 2.0 * (trace_norm(x4 @ self.b_adj) + np.linalg.norm(w4 @ self.b_adj))
+        t3 = trace_norm(x3)
+        t4 = trace_norm(x4) + np.linalg.norm(w4)
+        t5 = self.amplitude * (trace_norm(x5) + np.linalg.norm(w5))
+        tail = self.tail * np.linalg.norm(rho)
+        return float(t1 + t2 + t3 + t4 + t5 + tail)
 
 
 @lru_cache(maxsize=32)
@@ -371,8 +389,8 @@ def _gkp_context(
 
 
 def _cosine_offband(arg: PolyOperator, shape: TruncationShape) -> np.ndarray:
-    """Rows of P_perp (U + U^dag) P_N over a window wide enough that the
-    dropped tail has underflowed, from the exact matrix elements."""
+    """Rows of P_perp (U + U^dag) P_N over the window of ``_offband_pad``,
+    from the exact matrix elements."""
     from .operators import _linear_qp_coefficients
 
     c, d = _linear_qp_coefficients(arg)
@@ -380,10 +398,7 @@ def _cosine_offband(arg: PolyOperator, shape: TruncationShape) -> np.ndarray:
     bm = basis_map(shape)
     m = shape.mode_count
     occ_max = [int(bm.occupations(j).max()) for j in range(m)]
-    pads = [
-        max(30, int(math.ceil(8.0 * abs(b) * math.sqrt(n + 1.0) + 8.0 * abs(b) ** 2)))
-        for b, n in zip(betas, occ_max)
-    ]
+    pads = [_offband_pad(b, n) for b, n in zip(betas, occ_max)]
     tables = [
         displacement_block(n + p + 1, n + 1, b)
         for b, n, p in zip(betas, occ_max, pads)

@@ -17,7 +17,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Union
+from typing import Callable, NamedTuple, Union
 
 import numpy as np
 from scipy import sparse
@@ -354,7 +354,13 @@ def _gkp_truncated_gamma(
     amplitude: float, eta: float, eps: float, sector: int, shape: TruncationShape
 ) -> DenseOperator:
     """Exact P (R^k Gamma_0 R^-k) P via a one-step margin for the degree-1
-    polynomial factor."""
+    polynomial factor; sector k > 0 is sector 0's matrix conjugated by
+    the exact phases R^k."""
+    if sector:
+        gamma0 = _gkp_truncated_gamma(amplitude, eta, eps, 0, shape).matrix
+        return DenseOperator(
+            shape, _phase_conjugate(gamma0, gauge_phases(shape, (sector,)))
+        )
     occ = _single_mode_caps(shape)
     big = grow(shape, 1)
     occ_big = basis_map(big).occupations(0)
@@ -362,10 +368,7 @@ def _gkp_truncated_gamma(
     u_block = _displacement_table(occ, occ_big, beta)  # P U P_(N+1)
     q_big = materialize_poly(_gkp_q_poly(amplitude, eps), big).matrix
     uq = u_block @ q_big[:, _embedding_indices(shape, big)]  # P U Q P, exact
-    gamma0 = uq - np.eye(len(occ))
-    if sector % 4:
-        gamma0 = _phase_conjugate(gamma0, gauge_phases(shape, (sector,)))
-    return DenseOperator(shape, gamma0)
+    return DenseOperator(shape, uq - np.eye(len(occ)))
 
 
 def truncated_expr(expr: OperatorExpr, shape: TruncationShape) -> DenseOperator:
@@ -424,7 +427,9 @@ class _ShapedGenerator:
     its global phase) in its real form (``_real_form``) when it has
     one, so A is real when they all are.  ``dtype`` is float64 when
     every stored operator and factor is real; the generator then maps
-    a real state to a real state.
+    a real state to a real state.  A GKP model whose dissipators form
+    full rotation orbits also keeps a real orbit form (``orbits``, see
+    ``_rotation_orbits``) for rotation-invariant states.
     """
 
     def __init__(self, model: LindbladModel, shape: TruncationShape):
@@ -459,7 +464,7 @@ class _ShapedGenerator:
             else:
                 self.varying.append((coeff, factor, h))
         self.a = a
-        self.orbits = _rotation_orbits(model, shape, self.jumps)
+        self.orbits = _rotation_orbits(model, shape, a, self.use_sparse)
         self.dtype = np.result_type(
             np.float64,
             a.dtype,
@@ -481,16 +486,16 @@ class _ShapedGenerator:
 
         A GKP model whose dissipators form full rotation orbits maps a
         rotation-invariant ``rho`` (exact zeros off the classes m = n
-        mod 4) through its orbit jumps (4 m, Gamma_0), with the
-        off-class entries set to zero: the orbit sum of
-        R^k X R^-k is 4 X on the classes and 0 off them.
+        mod 4) through its real orbit form, with the off-class entries
+        set to zero: the orbit sum of R^k X R^-k is 4 X on the classes
+        and 0 off them.  A real invariant ``rho`` gives a real result.
         """
-        if self.dtype.kind == "c" and rho.dtype.kind != "c":
+        a, jumps, mask = self.a, self.jumps, None
+        if self.orbits is not None and not rho[self.orbits.mask].any():
+            mask, a, jumps = self.orbits
+        elif self.dtype.kind == "c" and rho.dtype.kind != "c":
             rho = rho.astype(self.dtype)
-        jumps, mask = self.jumps, None
-        if self.orbits is not None and not rho[self.orbits[0]].any():
-            mask, jumps = self.orbits
-        half = self.a @ rho
+        half = a @ rho
         for coeff, factor, op in self.varying:
             u = coeff(t)
             if u == 0.0:
@@ -510,13 +515,25 @@ class _ShapedGenerator:
         return out
 
 
-def _rotation_orbits(model: LindbladModel, shape: TruncationShape, jumps):
-    """(off-class mask, [(4 m, Gamma_0)]) when the model's GKP dissipators
-    form full rotation orbits, else None.
+class _OrbitForm(NamedTuple):
+    mask: np.ndarray  # the off-class entries, m - n not divisible by 4
+    a: object  # A = -(1/2) K, real
+    jumps: list  # (4 m, Gamma_1), real
+
+
+def _rotation_orbits(model: LindbladModel, shape: TruncationShape, a, use_sparse: bool):
+    """The real orbit form of a GKP model whose dissipators form full
+    rotation orbits, else None.
 
     Full orbits: every (A, eta, eps) appears in each sector 0..3 equally
-    often, m times; its sector-0 jump then stands for the 4 m jumps of
-    its orbit on rotation-invariant states.
+    often, m times.  The model is then its own R-gauge (R = diag(i^n)
+    maps sector k to sector k + 1), and on rotation-invariant states one
+    jump (4 m, Gamma_k) stands for the 4 m jumps of its orbit, whichever
+    k represents it.  Entry (m, n) of Gamma_0 carries the phase
+    i^(m - n), so sector 1's truncation Gamma_1 = R Gamma_0 R^dag is
+    real exactly, and so is K = sum_k Gamma_k^dag Gamma_k, which
+    commutes with R.  Both are tested exactly, on the dense matrices,
+    before any sparse conversion; the form is None if either is not real.
     """
     if model.kind != "gkp":
         return None
@@ -526,12 +543,20 @@ def _rotation_orbits(model: LindbladModel, shape: TruncationShape, jumps):
         counts.setdefault(key, [0, 0, 0, 0])[expr.sector] += 1
     if any(min(c) != max(c) for c in counts.values()):
         return None
-    reps = {}
-    for expr, (_, g) in zip(model.dissipators, jumps):
-        key = (expr.amplitude, expr.eta, expr.eps)
-        if expr.sector == 0:
-            reps.setdefault(key, (4.0 * counts[key][0], g))
-    return _off_class_mask(shape), list(reps.values())
+    a = a.toarray() if use_sparse else a
+    jumps = [
+        (4.0 * c[0], truncated_expr(GkpDissipator(*key, sector=1), shape).matrix)
+        for key, c in counts.items()
+    ]
+    if any(m.imag.any() for m in [a] + [g for _, g in jumps]):
+        return None
+
+    def stored(mat):
+        return sparse.csr_matrix(mat.real) if use_sparse else np.ascontiguousarray(mat.real)
+
+    return _OrbitForm(
+        _off_class_mask(shape), stored(a), [(w, stored(g)) for w, g in jumps]
+    )
 
 
 @lru_cache(maxsize=64)

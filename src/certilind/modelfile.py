@@ -311,24 +311,52 @@ def _cosine_arg_from_spec(spec: dict, modes: int) -> PolyOperator:
 # ---------------------------------------------------------------------------
 
 
-def _resize_step(raw):
-    """A grow or shrink step; a rational string is taken exactly."""
+def _number(key, raw):
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        raise ModelFileError(f"solver.{key} must be a number, got {raw!r}")
+    return float(raw)
+
+
+def _integer(key, raw):
+    if isinstance(raw, bool) or not (
+        isinstance(raw, int) or (isinstance(raw, float) and raw.is_integer())
+    ):
+        raise ModelFileError(f"solver.{key} must be an integer, got {raw!r}")
+    return int(raw)
+
+
+def _flag(key, raw):
+    if not isinstance(raw, bool):
+        raise ModelFileError(f"solver.{key} must be true or false, got {raw!r}")
+    return raw
+
+
+def _text(key, raw):
+    if not isinstance(raw, str):
+        raise ModelFileError(f"solver.{key} must be a string, got {raw!r}")
+    return raw
+
+
+def _resize_step(key, raw):
+    """A grow or shrink step; a rational string is taken exactly.  Its
+    value is checked by SolverConfig."""
     return Fraction(raw) if isinstance(raw, str) else raw
 
 
-# solver-section key -> (SolverConfig field, conversion of its value)
+# solver-section key -> (SolverConfig field, check and conversion of its
+# JSON value, which raises ModelFileError naming the key)
 _SOLVER_KEYS = {
-    "T": ("final_time", float),
-    "scheme": ("scheme", lambda raw: raw),
-    "taylor_order": ("taylor_order", int),
-    "time_tol": ("time_tol", float),
-    "dt": ("dt", float),
-    "space_tol": ("space_tol", float),
-    "downsize_factor": ("downsize_factor", float),
+    "T": ("final_time", _number),
+    "scheme": ("scheme", _text),
+    "taylor_order": ("taylor_order", _integer),
+    "time_tol": ("time_tol", _number),
+    "dt": ("dt", _number),
+    "space_tol": ("space_tol", _number),
+    "downsize_factor": ("downsize_factor", _number),
     "grow_step": ("grow_step", _resize_step),
     "shrink_step": ("shrink_step", _resize_step),
-    "max_dimension": ("max_dimension", int),
-    "time_certificate": ("enable_time_certificate", bool),
+    "max_dimension": ("max_dimension", _integer),
+    "time_certificate": ("enable_time_certificate", _flag),
 }
 
 
@@ -490,11 +518,12 @@ class ModelFile:
         if "T" not in self.solver:
             raise ModelFileError("solver section needs the final time 'T'")
         kwargs = {
-            name: convert(self.solver[key])
+            name: convert(key, self.solver[key])
             for key, (name, convert) in _SOLVER_KEYS.items()
             if key in self.solver
         }
-        return SolverConfig(**kwargs), bool(self.solver.get("adaptive_space", False))
+        adaptive = _flag("adaptive_space", self.solver.get("adaptive_space", False))
+        return SolverConfig(**kwargs), adaptive
 
 
 # ---------------------------------------------------------------------------

@@ -220,28 +220,64 @@ def materialize_poly(poly: PolyOperator, shape: TruncationShape) -> DenseOperato
 # ---------------------------------------------------------------------------
 
 
-def _laguerre_diag(offset: int, x: float, count: int) -> np.ndarray:
-    """Associated Laguerre values L_n^(offset)(x) for n = 0..count-1,
-    by the stable three-term recurrence in n."""
-    vals = np.empty(count, dtype=np.float64)
-    if count == 0:
-        return vals
-    vals[0] = 1.0
-    if count == 1:
-        return vals
-    vals[1] = 1.0 + offset - x
-    for n in range(1, count - 1):
-        vals[n + 1] = (
-            (2 * n + 1 + offset - x) * vals[n] - (n + offset) * vals[n - 1]
+def _int_power(z: complex, k: int) -> complex:
+    """z**k for an integer k >= 0 by repeated squaring, the steps Python's
+    ``**`` takes up to k = 100; above that ``**`` switches to exp/log, so
+    (1j)**101 carries a residue that this product does not."""
+    out, bit = 1 + 0j, 1
+    while bit <= k:
+        if k & bit:
+            out *= z
+        bit <<= 1
+        z *= z
+    return out
+
+
+def _offset_diagonals(out, first, span, width, beta_phase, x, logb, lower):
+    """Write the diagonals at offsets first..span-1 of a displacement block.
+
+    Diagonal o holds <n + o|D|n> (``lower``) or <n|D|n + o> at
+    n = 0..min(width, span - o) - 1: sqrt(n!/(n + o)!) |beta|^o
+    exp(-x/2) L_n^(o)(x) times beta_phase^o.  The associated Laguerre
+    values run the stable three-term recurrence in n for all offsets at
+    once; at step n only the offsets whose diagonal is still that long
+    take part, so every value is the one a per-offset loop computes.
+    """
+    offsets = np.arange(first, span)
+    if offsets.size == 0:
+        return
+    counts = np.minimum(width, span - offsets)  # non-increasing
+    lag = np.zeros((offsets.size, int(counts[0])))
+    lag[:, 0] = 1.0
+    if lag.shape[1] > 1:
+        live = int(np.count_nonzero(counts > 1))
+        lag[:live, 1] = 1.0 + offsets[:live] - x
+    for n in range(1, lag.shape[1] - 1):
+        live = int(np.count_nonzero(counts > n + 1))
+        o = offsets[:live]
+        lag[:live, n + 1] = (
+            (2 * n + 1 + o - x) * lag[:live, n] - (n + o) * lag[:live, n - 1]
         ) / (n + 1)
-    return vals
+    row, n = np.nonzero(np.arange(lag.shape[1])[None, :] < counts[:, None])
+    o = offsets[row]
+    logpref = 0.5 * (gammaln(n + 1) - gammaln(n + o + 1))
+    logpref += o * logb - 0.5 * x
+    phases = np.array([_int_power(beta_phase, int(k)) for k in offsets])
+    vals = _stable_product(logpref, lag[row, n]) * phases[row]
+    if lower:
+        out[n + o, n] = vals
+    else:
+        out[n, n + o] = vals
 
 
 def displacement_block(rows: int, cols: int, beta: complex) -> np.ndarray:
     """Matrix elements <m|D(beta)|n> for 0 <= m < rows, 0 <= n < cols.
 
-    D(beta) = exp(beta a^dag - conj(beta) a).  Entries below 1e-300 are
-    flushed to zero.
+    D(beta) = exp(beta a^dag - conj(beta) a).  Entry (m, n) carries the
+    phase (beta/|beta|)^(m - n) below the diagonal and
+    (-conj(beta)/|beta|)^(n - m) above it, each an exact product, so a
+    purely imaginary beta gives entries that are exactly i^(m - n) times
+    a real number.  Entries below 1e-300 are flushed to zero.
     """
     beta = complex(beta)
     out = np.zeros((rows, cols), dtype=np.complex128)
@@ -251,28 +287,10 @@ def displacement_block(rows: int, cols: int, beta: complex) -> np.ndarray:
         return out
     x = abs(beta) ** 2
     logb = math.log(abs(beta))
-    phase_lower = beta / abs(beta)
-    phase_upper = -beta.conjugate() / abs(beta)
-    for offset in range(rows):
-        count = min(cols, rows - offset)
-        if count <= 0:
-            break
-        lag = _laguerre_diag(offset, x, count)
-        n = np.arange(count)
-        logpref = 0.5 * (gammaln(n + 1) - gammaln(n + offset + 1))
-        logpref += offset * logb - 0.5 * x
-        vals = _stable_product(logpref, lag) * phase_lower**offset
-        out[n + offset, n] = vals
-    for offset in range(1, cols):
-        count = min(rows, cols - offset)
-        if count <= 0:
-            break
-        lag = _laguerre_diag(offset, x, count)
-        m = np.arange(count)
-        logpref = 0.5 * (gammaln(m + 1) - gammaln(m + offset + 1))
-        logpref += offset * logb - 0.5 * x
-        vals = _stable_product(logpref, lag) * phase_upper**offset
-        out[m, m + offset] = vals
+    _offset_diagonals(out, 0, rows, cols, beta / abs(beta), x, logb, lower=True)
+    _offset_diagonals(
+        out, 1, cols, rows, -beta.conjugate() / abs(beta), x, logb, lower=False
+    )
     out[np.abs(out) < UNDERFLOW_FLUSH] = 0.0
     return out
 

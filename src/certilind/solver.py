@@ -14,8 +14,10 @@ conserves a charge (``conserved_charges``) and the state lies in one
 sector: the state stays there exactly, and the other entries are exact
 zeros.  It runs in real arithmetic when the model has a real gauge
 (``real_gauge``) and the initial state is real in it: the gauged state
-stays real exactly.  Sizes, error norms and the final state still refer
-to the base shape and the base basis.
+stays real exactly.  A GKP model whose dissipators form full rotation
+orbits runs a real rotation-invariant state in float64 the same way.
+Sizes, error norms and the final state still refer to the base shape
+and the base basis.
 """
 
 from __future__ import annotations
@@ -56,6 +58,7 @@ from .lindblad import (
     DensityState,
     LindbladModel,
     ModelError,
+    _off_class_mask,
     _phase_conjugate,
     conserved_charges,
     gauge_phases,
@@ -176,7 +179,8 @@ class WorkingFrame:
     """The basis a run integrates in: the charge sector of the initial
     state (``moduli`` and ``residues``, see ``fockspace.Sector``) and the
     exponents f of the real gauge Phi = diag(i^(f . n)) in which the
-    state is real (``gauge``); each is None when not used."""
+    state is real (``gauge``; (1,) for a rotation-invariant GKP run);
+    each is None when not used."""
 
     moduli: tuple[int, ...] | None = None
     residues: tuple[int, ...] | None = None
@@ -428,8 +432,12 @@ def _enter_frame(model: LindbladModel, rho: DenseOperator):
     ``rho`` is restricted to the charge sector of its shape that holds
     all its nonzero entries, when the model conserves a charge and there
     is one such sector.  It is then put in the model's real gauge when
-    there is one and the gauged state's imaginary part is exactly zero;
-    otherwise the run is complex.  Both steps are exact: the restriction
+    there is one and the gauged state's imaginary part is exactly zero.
+    A GKP model whose generator has a real orbit form (full rotation
+    orbits) is its own gauge under R = diag(i^n); a real state with
+    exact zeros off the classes m = n mod 4 is rotation-invariant, so R
+    acts on it as the identity, and it runs in float64 with gauge (1,).
+    Otherwise the run is complex.  Every step is exact: the restriction
     drops only exact zeros, and the phases are powers of i.
 
     A ``rho`` whose relative Frobenius defect ||rho - rho^dag|| / ||rho||
@@ -456,6 +464,13 @@ def _enter_frame(model: LindbladModel, rho: DenseOperator):
             idx = _embedding_indices(sector, rho.shape)
             rho = DenseOperator(sector, mat[np.ix_(idx, idx)])
             mat = rho.matrix
+    if (
+        model.kind == "gkp"
+        and not mat.imag.any()
+        and not mat[_off_class_mask(rho.shape)].any()
+        and shaped_generator(model, rho.shape).orbits is not None
+    ):
+        return replace(frame, gauge=(1,)), model, DenseOperator(rho.shape, mat.real)
     exponents = real_gauge(model)
     if exponents is not None:
         gauged = _phase_conjugate(mat, gauge_phases(rho.shape, exponents))

@@ -7,8 +7,10 @@ dense ladder matrices on a grown shape, runs in complex arithmetic, and
 the trace norm of a Hermitian matrix from its eigenvalues.
 Each is written independently of the route the program takes, so the
 tests can hold the program to it.  ``unitary_offblock_norm`` is the
-exception: it is the GKP bound's off-block norm with its kernel formed
-from ``u``, which the unitary-lemma tests compare with enlarged oracles.
+truncated-unitary norm identity in its Gram form, which the
+unitary-lemma tests compare with enlarged oracles; ``gkp_bound_oracle``
+is the stabilizer bound with every off-block norm taken from the full,
+uncompressed rows of U.
 """
 
 import math
@@ -19,6 +21,7 @@ import numpy as np
 
 from certilind.fockspace import (
     DenseOperator,
+    Rect,
     TruncationShape,
     _complement_indices,
     _embedding_indices,
@@ -26,11 +29,12 @@ from certilind.fockspace import (
     basis_map,
     dimension,
     embed,
+    trace_norm,
 )
 from certilind import solver
-from certilind.estimators import _offblock_norm
-from certilind.lindblad import shaped_generator, truncated_expr
-from certilind.operators import PolyOperator, materialize_poly
+from certilind.estimators import tr_sqrt_psd
+from certilind.lindblad import _gkp_q_poly, shaped_generator, truncated_expr
+from certilind.operators import PolyOperator, displacement_block, materialize_poly
 
 HERMITIAN_DEFECT_GUARD = 1e-10
 
@@ -52,9 +56,108 @@ def hermitian_trace_norm(mat) -> float:
 
 def unitary_offblock_norm(u: np.ndarray, m: np.ndarray, rows=None) -> float:
     """Bound on ||P_perp U M||_1 for ``u`` the exact truncation of a
-    unitary U and ``m`` an operator on its shape (see ``_offblock_norm``),
-    with the kernel Id - u^dag u formed here."""
-    return _offblock_norm(u, np.eye(m.shape[0]) - u.conj().T @ u, m, rows)
+    unitary U to a shape S and ``m`` an operator on S.
+
+    P projects onto S, or, with ``rows``, onto the sub-shape of S whose
+    complement in S those row indices select.  The part of U M beyond S
+    has the trace norm tr sqrt(M^dag (Id - u^dag u) M), by the
+    truncated-unitary norm identity; the selected rows of u M add their
+    own by the triangle inequality, so the value is exact without
+    ``rows``.  A radicand eigenvalue below the guard of ``tr_sqrt_psd``
+    (an input that is not a truncated unitary) raises EstimatorError.
+    """
+    kernel = np.eye(m.shape[0]) - u.conj().T @ u
+    total = tr_sqrt_psd(m.conj().T @ kernel @ m)
+    if rows is not None:
+        total += trace_norm(u[rows] @ m)
+    return total
+
+
+def displacement_block_loop(rows: int, cols: int, beta: complex) -> np.ndarray:
+    """<m|D(beta)|n> for m < rows, n < cols, one offset at a time: the
+    Laguerre recurrence as a scalar loop per diagonal and each phase as
+    Python's ``phase**offset`` (exp/log above offset 100, so the phase of
+    those diagonals carries a residue of about 1e-15)."""
+    from scipy.special import gammaln
+
+    beta = complex(beta)
+    out = np.zeros((rows, cols), dtype=np.complex128)
+    if beta == 0:
+        k = min(rows, cols)
+        out[:k, :k] = np.eye(k)
+        return out
+    x = abs(beta) ** 2
+
+    def diagonal(offset, count, phase):
+        lag = np.empty(count)
+        lag[0] = 1.0
+        if count > 1:
+            lag[1] = 1.0 + offset - x
+        for n in range(1, count - 1):
+            lag[n + 1] = (
+                (2 * n + 1 + offset - x) * lag[n] - (n + offset) * lag[n - 1]
+            ) / (n + 1)
+        n = np.arange(count)
+        logpref = 0.5 * (gammaln(n + 1) - gammaln(n + offset + 1))
+        logpref += offset * math.log(abs(beta)) - 0.5 * x
+        vals = np.zeros(count)
+        nz = lag != 0.0
+        vals[nz] = np.sign(lag[nz]) * np.exp(logpref[nz] + np.log(np.abs(lag[nz])))
+        return n, vals * phase**offset
+
+    for offset in range(rows):
+        count = min(cols, rows - offset)
+        if count > 0:
+            n, vals = diagonal(offset, count, beta / abs(beta))
+            out[n + offset, n] = vals
+    for offset in range(1, cols):
+        count = min(rows, cols - offset)
+        if count > 0:
+            n, vals = diagonal(offset, count, -beta.conjugate() / abs(beta))
+            out[n, n + offset] = vals
+    out[np.abs(out) < 1e-300] = 0.0
+    return out
+
+
+def gkp_bound_oracle(amplitude, eta, eps, rho: np.ndarray, sector: int) -> float:
+    """The stabilizer bound t1 + ... + t5 (see ``estimators._GkpContext``)
+    of the dissipator R^k Gamma_0 R^-k, k = ``sector``, on ``rho`` with
+    levels 0..N, in the Fock basis and without compression.
+
+    Sector k is sector 0 on R^-k rho R^k.  Each off-block norm is the
+    row N + 1 plus the singular-value sum of F M, for F every row of U
+    (or of U^dag = D(-beta), built as such) beyond N + 1 up to N + 301.
+    """
+    d = rho.shape[0]
+    phases = np.power(1j, (sector * np.arange(d)) % 4)
+    rho = (phases.conj()[:, None] * rho) * phases[None, :]
+    beta = 1j * eta / math.sqrt(2.0)
+    u = displacement_block(d + 301, d + 1, beta)
+    u_dag = displacement_block(d + 301, d + 1, -beta)
+    q_poly = _gkp_q_poly(amplitude, eps)
+    q = materialize_poly(q_poly, Rect([d])).matrix[:, :d]
+    v_poly = (
+        PolyOperator.identity(1)
+        - eps * PolyOperator.momentum(1, 0)
+        - eps * eta * PolyOperator.position(1, 0)
+    )
+    v = materialize_poly(v_poly, Rect([d])).matrix[:, :d]
+    qdq = materialize_poly(q_poly.dag() * q_poly, Rect([d + 1])).matrix[:, :d]
+    b = u[:d] @ q
+    bdb = b.conj().T @ b
+
+    def beyond(w, m):
+        """||P_perp W m||_1 by rows: row N + 1, then all rows past it."""
+        return float(np.linalg.norm(w[d] @ m) + trace_norm(w[d + 1 :] @ m))
+
+    t1 = max(float(np.trace((q.conj().T @ q - bdb) @ rho).real), 0.0)
+    t2 = 2.0 * beyond(u, q @ rho @ b.conj().T)
+    mismatch = qdq @ rho
+    mismatch[:d] -= bdb @ rho
+    t3 = trace_norm(mismatch)
+    t4 = beyond(u, q @ rho)
+    t5 = amplitude * beyond(u_dag, v @ rho)
+    return t1 + t2 + t3 + t4 + t5
 
 
 def apply_truncated(model, t: float, rho: DenseOperator) -> DenseOperator:

@@ -162,6 +162,21 @@ class TestModelFile:
         with pytest.raises(ModelFileError, match="warp"):
             ModelFile.from_dict(doc)
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            # bool("false") and int(100.7) would have read these as True and 100
+            ("adaptive_space", "false", "must be true or false"),
+            ("time_certificate", "false", "must be true or false"),
+            ("max_dimension", 100.7, "must be an integer"),
+        ],
+    )
+    def test_solver_value_of_the_wrong_type(self, key, value, message):
+        doc = cat_doc()
+        doc["solver"][key] = value
+        with pytest.raises(ModelFileError, match=f"solver.{key} {message}"):
+            ModelFile.from_dict(doc).build()
+
     def test_missing_referenced_param(self):
         doc = cat_doc()
         doc["params"] = {}

@@ -42,10 +42,12 @@ from certilind.operators import (
     materialize_poly,
 )
 from certilind.presets import preset_model_file
+from certilind.solver import rk4_stepper
 from oracles import (
     defect_cat_closed_form,
     defect_drive_closed_form,
     dissipator_defect_blocks,
+    gkp_bound_oracle,
     hermitian_trace_norm,
     lindblad_superoperator,
     rotation_invariant_density,
@@ -331,6 +333,55 @@ class TestGkpBound:
         assert np.allclose(vals, vals[0], rtol=1e-9)
         total = model_space_defect(gkp_model(1.0, eta, eps), 0.0, rho)
         assert np.isclose(total, sum(vals))
+
+    @staticmethod
+    def preset_states():
+        """The vacuum and eight snapshots of the preset's run at cap 30,
+        25 RK4 steps apart, as criterion 7 takes them."""
+        built = preset_model_file("gkp").build()
+        rho, t, dt = built.initial, 0.0, built.config.final_time / 200
+        states = [rho.matrix]
+        for _ in range(8):
+            for _ in range(25):
+                rho = rk4_stepper(built.model, t, rho, dt)
+                t += dt
+            states.append(rho.matrix)
+        return built.model.dissipators[0], states
+
+    def test_compressed_factors_match_uncompressed_oracle(self):
+        from certilind.estimators import _gkp_context
+
+        diss, states = self.preset_states()
+        params = (diss.amplitude, diss.eta, diss.eps)
+        ctx = _gkp_context(*params, Rect([30]))
+        assert 0 < ctx.rank < ctx.dim + 1  # F keeps some rows, not all
+        for i, mat in enumerate(states):
+            for sector in range(4):
+                got = ctx.sector_defect(mat, sector)
+                want = gkp_bound_oracle(*params, mat, sector)
+                assert got >= want
+                # the dropped singular values enter as an absolute tail,
+                # which sets the gap on the vacuum (whose bound is 7.6e-6)
+                assert got - want <= ctx.tail * np.linalg.norm(mat) + 1e-15 * want
+                if i:
+                    assert got <= want * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("eta, eps", [(0.0, 0.15), (ETA_GRID, 0.0), (0.0, 0.0)])
+    def test_degenerate_parameters(self, eta, eps):
+        from certilind.estimators import _gkp_context
+
+        shape = Rect([12])
+        rho = DenseOperator(shape, random_density(np.random.default_rng(119), 13))
+        ctx = _gkp_context(1.0, eta, eps, shape)
+        # U = Id has no rows past N + 1: F has rank 0 and its terms are 0
+        assert (ctx.rank == 0) == (eta == 0.0)
+        bound = model_space_defect(gkp_model(1.0, eta, eps), 0.0, rho)
+        oracle = sum(gkp_bound_oracle(1.0, eta, eps, rho.matrix, k) for k in range(4))
+        assert bound == pytest.approx(oracle, rel=1e-12, abs=4.0 * ctx.tail)
+        if eta == eps == 0.0:
+            assert bound == 0.0  # Gamma = 0
+        brute = gkp_brute_force_defect(1.0, eta, eps, rho, n_big=4 * 13)
+        assert bound >= brute - 1e-10
 
 
 def per_sector_defect(model, rho):

@@ -29,7 +29,12 @@ from certilind.operators import (
     fock_density,
     materialize_poly,
 )
-from oracles import hermitian_trace_norm, ladder, letter_product_poly
+from oracles import (
+    displacement_block_loop,
+    hermitian_trace_norm,
+    ladder,
+    letter_product_poly,
+)
 
 
 def random_matrix(rng, dim):
@@ -270,6 +275,35 @@ class TestDisplacement:
     def test_block_is_symmetric_for_iq(self):
         blk = displacement_block(9, 9, 1j * 0.8 / math.sqrt(2))
         assert np.allclose(blk, blk.T)
+
+    def test_phases_are_exact_past_offset_100(self):
+        # Python's complex ** switches to exp/log above exponent 100, so
+        # (1j)**101 == 4.4e-15+1j; entry (m, n) must be i^(m - n) times a
+        # real number exactly
+        blk = displacement_block(200, 200, 1j * 2.0 * math.sqrt(math.pi) / math.sqrt(2.0))
+        offset = np.subtract.outer(np.arange(200), np.arange(200))
+        unphased = blk * np.array([1, -1j, -1, 1j])[offset % 4]
+        assert not unphased.imag.any()
+        assert np.count_nonzero(blk[offset >= 100]) > 0
+
+    @pytest.mark.parametrize(
+        "rows, cols, beta",
+        [
+            (31, 32, 2.5066j),
+            (197, 33, 2.5066j),
+            (50, 80, 0.3 + 0.7j),
+            (80, 50, -1.1 + 0.2j),
+            (1, 5, 0.5j),
+            (5, 1, 0.5),
+            (6, 6, 0.0),
+        ],
+    )
+    def test_matches_per_offset_loop(self, rows, cols, beta):
+        got = displacement_block(rows, cols, beta)
+        want = displacement_block_loop(rows, cols, beta)
+        near = np.abs(np.subtract.outer(np.arange(rows), np.arange(cols))) <= 100
+        assert np.array_equal(got[near], want[near])  # the same arithmetic
+        np.testing.assert_allclose(got[~near], want[~near], rtol=1e-13, atol=0)
 
 
 class TestTraceNorm:

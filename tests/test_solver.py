@@ -33,6 +33,7 @@ from models import (
     cat_buffer_model,
     cat_model,
     gkp_model,
+    gkp_terms_model,
     linear_drive_model,
     number_drive_model,
     word_poly,
@@ -908,9 +909,14 @@ class TestRealGaugeRuns:
         assert_same_numbers(result, oracle, xi_rtol=1e-10)
 
 
+GKP_ETA = 2.0 * math.sqrt(math.pi)
+
+
 class TestComplexFallback:
-    """Runs that must stay complex: no real gauge, or a state that is not
-    real in it.  Their generators see complex states only."""
+    """Runs that must stay complex: no real gauge, a state that is not
+    real in it, or a GKP run off the real orbit form (a state that is not
+    rotation-invariant, or dissipators that do not form full rotation
+    orbits).  Their generators see complex states only."""
 
     @staticmethod
     def run_recording_dtypes(monkeypatch, model, rho, config):
@@ -969,20 +975,60 @@ class TestComplexFallback:
         assert result.frame.moduli == (2,) and result.frame.residues == (0,)
 
     def test_gkp(self, monkeypatch):
-        model = gkp_model()
+        # a real state with coherences between classes: not invariant
+        rho = self.superposition(Rect([12]), [1, 1])
+        config = SolverConfig(final_time=0.01, scheme="rk4", dt=0.005)
+        result = self.run_recording_dtypes(monkeypatch, gkp_model(), rho, config)
+        assert result.frame == solver.WorkingFrame()
+
+    def test_gkp_partial_orbits(self, monkeypatch):
+        # sectors 0, 1 and 3 of one (A, eta, eps) and sector 2 of another
+        model = gkp_terms_model(
+            *[(1.0, GKP_ETA, 0.15, k) for k in (0, 1, 3)], (0.8, GKP_ETA, 0.3, 2)
+        )
         rho = fock_density(Rect([12]), [0])
         config = SolverConfig(final_time=0.01, scheme="rk4", dt=0.005)
         result = self.run_recording_dtypes(monkeypatch, model, rho, config)
         assert result.frame == solver.WorkingFrame()
 
-    def test_gkp_preset_xi_unchanged(self):
-        # the GKP route takes no real gauge: xi of a tenth of the preset's
-        # horizon, bit for bit as before real-gauge runs existed
+
+class TestRealGkpRuns:
+    """A real rotation-invariant state of a GKP model with full rotation
+    orbits runs in float64, in the gauge (1,) that R = diag(i^n) gives."""
+
+    def test_applies_float64_states_only(self, monkeypatch):
+        built = preset_model_file("gkp", cap=12).build()
+        config = replace(built.config, final_time=built.config.final_time / 20)
+        dtypes = set()
+        apply = lindblad._ShapedGenerator.apply
+
+        def recording_apply(gen, t, state):
+            dtypes.add(state.dtype)
+            return apply(gen, t, state)
+
+        monkeypatch.setattr(lindblad._ShapedGenerator, "apply", recording_apply)
+        result = run_fixed(built.model, built.initial, built.shape, config)
+        monkeypatch.undo()
+        assert dtypes == {np.dtype(np.float64)}
+        assert result.frame == solver.WorkingFrame(gauge=(1,))
+        # the same RK4 steps on the complex copy of the initial state
+        rho = DenseOperator(built.shape, built.initial.matrix.astype(complex))
+        steps = len(result.trajectory)
+        dt = config.final_time / steps
+        for n in range(steps):
+            rho = solver.rk4_stepper(built.model, n * dt, rho, dt)
+        assert rho.matrix.dtype == np.complex128
+        diff = result.final.rho.matrix - rho.matrix
+        assert np.abs(diff).max() <= 1e-14
+
+    def test_preset_xi(self):
+        # xi of a tenth of the preset's horizon, bit for bit
         built = preset_model_file("gkp").build()
         config = replace(built.config, final_time=built.config.final_time / 10)
         result = run_fixed(built.model, built.initial, built.shape, config)
+        assert result.frame == solver.WorkingFrame(gauge=(1,))
         assert len(result.trajectory) == 200
-        assert result.xi == 0.39368089914591375
+        assert result.xi == 0.39368088852843774
 
 
 class TestWorkingFrame:
