@@ -49,7 +49,6 @@ from .operators import (
     OperatorError,
     PolyOperator,
     cosine_of,
-    displacement_q,
     fock_density,
     materialize_poly,
 )

@@ -3,9 +3,11 @@
 Everything returned here is a rigorous upper bound (or the exact value)
 of a trace-norm defect, suitable for accumulation into the certified
 estimator xi.  Polynomial defects are computed exactly on margin-grown
-shapes; unitary-type content is bounded through ||P_perp U M||_1, the
-singular-value sum of the exactly known rows of U below the shape
-applied to M, with no Gram radicand.
+shapes.  Unitary-type content (the GKP stabilizers and cosine
+Hamiltonians) is bounded through ||P_perp W M||_1: W's exactly known
+rows past the shape, built and compressed once per shape into one
+factor whose dropped rows enter as a stated tail.  No route forms a
+Gram radicand.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from .operators import (
     PolyOperator,
     _hermitian_eigvalsh,
     _hermitian_part,
-    cosine_unitary_pair,
+    _linear_qp_coefficients,
     displacement_block,
     materialize_poly,
 )
@@ -60,7 +62,6 @@ __all__ = [
     "cosine_defect",
     "taylor_step_bound",
     "euler_timedep_step_bound",
-    "tr_sqrt_psd",
 ]
 
 LEDGER_KINDS = (
@@ -71,7 +72,6 @@ LEDGER_KINDS = (
     "time_euler",
 )
 
-RADICAND_EIG_FLOOR = -1e-8
 VALUE_NEGATIVE_SLACK = -1e-12
 
 
@@ -141,24 +141,8 @@ def xi_step(
 
 
 # ---------------------------------------------------------------------------
-# PSD square-root traces and Hermitian trace norms
+# Hermitian trace norms
 # ---------------------------------------------------------------------------
-
-
-def tr_sqrt_psd(mat: np.ndarray) -> float:
-    """tr sqrt of a PSD-by-construction radicand.
-
-    The matrix is symmetrized and eigen-clipped at zero; an eigenvalue
-    below RADICAND_EIG_FLOOR signals an input that is not a truncated-unitary
-    radicand and raises.
-    """
-    eigs = _hermitian_eigvalsh(mat)
-    scale = max(1.0, float(np.abs(eigs).max(initial=0.0)))
-    if eigs.size and eigs.min() < RADICAND_EIG_FLOOR * scale:
-        raise EstimatorError(
-            f"radicand eigenvalue {eigs.min():.3e} below tolerance"
-        )
-    return float(np.sqrt(np.clip(eigs, 0.0, None)).sum())
 
 
 def _hermitian_trace_norm(mat: np.ndarray) -> float:
@@ -298,13 +282,12 @@ class _GkpContext:
       the off blocks of the jump sandwich;
       t3 = ||Q^dag Q rho - B^dag B rho||_1, the anticommutator mismatch;
       t5 = A ||P_perp U^dag V rho||_1, the BCH companion term.
-    In each off-block norm ||P_perp W M||_1 the row N + 1 of W and the
-    rows beyond it enter by the triangle inequality.  The rows beyond
-    are F = P_perp(N+1) U P_(N+1), the exact rows of U over the window
-    of ``_offband_pad``, or, for U^dag = D(-beta) = P D(beta) P (P the
-    parity), the parity-flipped F.  F and t3's kernel are
-    compressed once by one SVD each (``_compressed``): their kept rows
-    are folded into the fixed left factors, and each dropped part
+    Every off-block norm ||P_perp W M||_1 is taken from one factor, with
+    no row split: F = P_perp U P_(N+1), the exact rows of U from N + 1
+    over the window of ``_offband_pad``, or, for U^dag = D(-beta) =
+    P D(beta) P (P the parity), the parity-flipped F.  F and t3's kernel
+    are compressed once by one SVD each (``_compressed``): their kept
+    rows are folded into the fixed left factors, and each dropped part
     enters as the explicit tail ||dropped left||_1 ||right||_2 ||rho||_F,
     which dominates its share by Hoelder's inequality (the spectral norm
     of rho is at most its Frobenius norm).  So one step takes one
@@ -327,8 +310,7 @@ class _GkpContext:
         beta = 1j * eta / math.sqrt(2.0)
         table = displacement_block(d + 1 + _offband_pad(beta, d), d + 1, beta)
         u = _sector1(table[:d])  # P_N U P_(N+1)
-        u_row = _sector1(table[d : d + 1], row0=d)  # row N + 1 of U P_(N+1)
-        f = _sector1(table[d + 1 :], row0=d + 1)  # F
+        f = _sector1(table[d:], row0=d)  # F
         q_poly = _gkp_q_poly(amplitude, eps)
         q = _sector1(materialize_poly(q_poly, g1).matrix[:, :d])  # P_(N+1) Q P_N
         v_poly = (
@@ -349,11 +331,8 @@ class _GkpContext:
         # U^dag's rows: the parity flips the columns (and the row's sign)
         parity = (-1.0) ** np.arange(d + 1)
         g_v = (g * parity) @ v
-        row_v = (u_row * parity) @ v
         self.rank = g.shape[0]
-        self.left = np.vstack(
-            [g @ q, g_v.real, g_v.imag, g3, u_row @ q, row_v.real, row_v.imag]
-        )
+        self.left = np.vstack([g @ q, g_v.real, g_v.imag, g3])
         self.tail = (
             trace_norm(g_dropped @ q) * (1.0 + 2.0 * np.linalg.norm(b, 2))
             + amplitude * trace_norm((g_dropped * parity) @ v)
@@ -366,12 +345,11 @@ class _GkpContext:
         t1 = max(float((self.t1_kernel * rho).sum().real), 0.0)
         r = self.rank
         y = self.left @ rho
-        x4, x5, x3 = y[:r], y[r : 2 * r] + 1j * y[2 * r : 3 * r], y[3 * r : -3]
-        w4, w5 = y[-3], y[-2] + 1j * y[-1]  # the rows N + 1
-        t2 = 2.0 * (trace_norm(x4 @ self.b_adj) + np.linalg.norm(w4 @ self.b_adj))
+        x4, x5, x3 = y[:r], y[r : 2 * r] + 1j * y[2 * r : 3 * r], y[3 * r :]
+        t2 = 2.0 * trace_norm(x4 @ self.b_adj)
         t3 = trace_norm(x3)
-        t4 = trace_norm(x4) + np.linalg.norm(w4)
-        t5 = self.amplitude * (trace_norm(x5) + np.linalg.norm(w5))
+        t4 = trace_norm(x4)
+        t5 = self.amplitude * trace_norm(x5)
         tail = self.tail * np.linalg.norm(rho)
         return float(t1 + t2 + t3 + t4 + t5 + tail)
 
@@ -388,70 +366,48 @@ def _gkp_context(
 # ---------------------------------------------------------------------------
 
 
-def _cosine_offband(arg: PolyOperator, shape: TruncationShape) -> np.ndarray:
-    """Rows of P_perp (U + U^dag) P_N over the window of ``_offband_pad``,
-    from the exact matrix elements."""
-    from .operators import _linear_qp_coefficients
+@lru_cache(maxsize=64)
+def _cosine_factor(arg: PolyOperator, shape: TruncationShape):
+    """The compressed off band of cos O for a real q/p combination O:
+    (S_r Vh_r, ||S_d Vh_d||_1) of ``_compressed`` on the exact rows of
+    P_perp cos(O) P_N over the window of ``_offband_pad`` past each mode's
+    top level.
 
+    U = exp(iO) is the product of one displacement per mode, and
+    U^dag = P U P for the total parity P, so cos O = (U + U^dag)/2 equals
+    U on the entries (m, n) with |m| + |n| even and is zero elsewhere."""
     c, d = _linear_qp_coefficients(arg)
     betas = (1j * c - d) / math.sqrt(2.0)
-    bm = basis_map(shape)
-    m = shape.mode_count
-    occ_max = [int(bm.occupations(j).max()) for j in range(m)]
-    pads = [_offband_pad(b, n) for b, n in zip(betas, occ_max)]
-    tables = [
-        displacement_block(n + p + 1, n + 1, b)
-        for b, n, p in zip(betas, occ_max, pads)
-    ]
-    tables_wide = [
-        displacement_block(n + 1, n + p + 1, b)
-        for b, n, p in zip(betas, occ_max, pads)
-    ]
-
-    inside = set(bm.states)
-    window = []
-
-    def walk(prefix, j):
-        if j == m:
-            if prefix not in inside:
-                window.append(prefix)
-            return
-        for k in range(occ_max[j] + pads[j] + 1):
-            walk(prefix + (k,), j + 1)
-
-    walk((), 0)
-
-    cols = np.array(bm.states, dtype=np.int64)
-    out = np.zeros((len(window), len(bm.states)), dtype=np.complex128)
-    for r, state in enumerate(window):
-        row_u = np.ones(len(bm.states), dtype=np.complex128)
-        row_udag = np.ones(len(bm.states), dtype=np.complex128)
-        for j in range(m):
-            row_u *= tables[j][state[j], cols[:, j]]
-            row_udag *= np.conj(tables_wide[j][cols[:, j], state[j]])
-        out[r, :] = row_u + row_udag
-    return out
+    cols = np.array(basis_map(shape).states, dtype=np.intp).reshape(-1, len(betas))
+    tops = [int(n) for n in cols.max(axis=0)]
+    sizes = tuple(n + 1 + _offband_pad(b, n) for b, n in zip(betas, tops))
+    outside = np.ones(math.prod(sizes), dtype=bool)
+    outside[np.ravel_multi_index(tuple(cols.T), sizes)] = False
+    rows = np.unravel_index(np.flatnonzero(outside), sizes)
+    band = np.ones((rows[0].size, cols.shape[0]), dtype=np.complex128)
+    for j, beta in enumerate(betas):
+        table = displacement_block(sizes[j], tops[j] + 1, beta)
+        band *= table[np.ix_(rows[j], cols[:, j])]
+    band[(sum(rows)[:, None] + cols.sum(axis=1)) % 2 == 1] = 0.0
+    kept, dropped = _compressed(band)
+    kept.setflags(write=False)
+    return kept, trace_norm(dropped)
 
 
 def cosine_defect(arg: PolyOperator, rho: DenseOperator) -> float:
-    """Exact ||(cos O - (cos O)_N) rho||_1 for O a real q/p combination.
+    """Certified bound on ||(cos O - (cos O)_N) rho||_1 = ||P_perp cos(O)
+    P_N rho||_1 for O a real q/p combination.
 
-    Equal to (1/2) tr sqrt(rho K rho) with K assembled from the exact
-    truncations of exp(iO) and exp(2iO) through the block identity
-    P U^2 P = A^2 + C B.  The radicand check keeps that form; the value
-    itself is the singular-value sum of the exactly-known off band of
-    (U + U^dag), which carries full double precision where the Gram form
-    loses half the mantissa near its null space.
+    The singular-value sum of the cached compressed off band
+    (``_cosine_factor``) applied to rho, plus the stated tail
+    ||dropped rows||_1 ||rho||_F of the rows the compression drops
+    (Hoelder's inequality, as in ``_GkpContext``).  Every entry is an
+    exactly known matrix element, so the value carries full double
+    precision; no Gram radicand is formed.
     """
-    u, u2 = cosine_unitary_pair(arg, rho.shape)
-    a = u.matrix
-    eye = np.eye(a.shape[0])
-    cb = u2.matrix - a @ a
-    k = (eye - a.conj().T @ a) + (eye - a @ a.conj().T) + cb + cb.conj().T
-    rr = rho.matrix
-    tr_sqrt_psd(rr.conj().T @ k @ rr)  # PSD guard on the truncated radicand
-    offband = _cosine_offband(arg, rho.shape)
-    return 0.5 * trace_norm(offband @ rr)
+    kept, tail = _cosine_factor(arg, rho.shape)
+    mat = np.asarray(rho.matrix)
+    return float(trace_norm(kept @ mat) + tail * np.linalg.norm(mat))
 
 
 # ---------------------------------------------------------------------------

@@ -28,10 +28,8 @@ __all__ = [
     "PolyOperator",
     "OperatorError",
     "materialize_poly",
-    "displacement_q",
     "displacement_block",
     "cosine_of",
-    "cosine_unitary_pair",
     "fock_density",
 ]
 
@@ -312,16 +310,6 @@ def _displacement_table(
     return table[np.ix_(occ_rows, occ_cols)]
 
 
-@lru_cache(maxsize=256)
-def displacement_q(shape: TruncationShape, eta: float) -> DenseOperator:
-    """Exact truncation of exp(i*eta*q) to a single-mode shape."""
-    if shape.mode_count != 1:
-        raise OperatorError("operation requires a single-mode shape")
-    occ = basis_map(shape).occupations(0)
-    beta = 1j * eta / math.sqrt(2.0)
-    return DenseOperator(shape, _displacement_table(occ, occ, beta))
-
-
 # ---------------------------------------------------------------------------
 # cosine of a linear position/momentum combination
 # ---------------------------------------------------------------------------
@@ -364,17 +352,6 @@ def _tensor_displacement(
         occ = bm.occupations(mode)
         out *= _displacement_table(occ, occ, beta)
     return out
-
-
-def cosine_unitary_pair(
-    arg: PolyOperator, shape: TruncationShape
-) -> tuple[DenseOperator, DenseOperator]:
-    """Exact truncations of U = exp(iO) and U^2 for a linear q/p argument O."""
-    c, d = _linear_qp_coefficients(arg)
-    betas = (1j * c - d) / math.sqrt(2.0)
-    u = DenseOperator(shape, _tensor_displacement(shape, betas))
-    u2 = DenseOperator(shape, _tensor_displacement(shape, 2.0 * betas))
-    return u, u2
 
 
 def cosine_of(arg: PolyOperator, shape: TruncationShape) -> DenseOperator:

@@ -7,10 +7,13 @@ dense ladder matrices on a grown shape, runs in complex arithmetic, and
 the trace norm of a Hermitian matrix from its eigenvalues.
 Each is written independently of the route the program takes, so the
 tests can hold the program to it.  ``unitary_offblock_norm`` is the
-truncated-unitary norm identity in its Gram form, which the
-unitary-lemma tests compare with enlarged oracles; ``gkp_bound_oracle``
-is the stabilizer bound with every off-block norm taken from the full,
-uncompressed rows of U.
+truncated-unitary norm identity in its Gram form, with its PSD guard
+``tr_sqrt_psd``, which the unitary-lemma tests compare with enlarged
+oracles; ``displacement_q`` and ``cosine_unitary_pair`` are exact
+truncations of displacements, and ``cosine_radicand`` is the Gram
+radicand of the cosine defect; ``gkp_bound_oracle`` is the stabilizer
+bound with every off-block norm taken from the full, uncompressed rows
+of U.
 """
 
 import math
@@ -32,11 +35,21 @@ from certilind.fockspace import (
     trace_norm,
 )
 from certilind import solver
-from certilind.estimators import tr_sqrt_psd
+from certilind.estimators import EstimatorError
 from certilind.lindblad import _gkp_q_poly, shaped_generator, truncated_expr
-from certilind.operators import PolyOperator, displacement_block, materialize_poly
+from certilind.operators import (
+    OperatorError,
+    PolyOperator,
+    _displacement_table,
+    _hermitian_eigvalsh,
+    _linear_qp_coefficients,
+    _tensor_displacement,
+    displacement_block,
+    materialize_poly,
+)
 
 HERMITIAN_DEFECT_GUARD = 1e-10
+RADICAND_EIG_FLOOR = -1e-8
 
 
 def hermitian_trace_norm(mat) -> float:
@@ -52,6 +65,56 @@ def hermitian_trace_norm(mat) -> float:
     if defect > HERMITIAN_DEFECT_GUARD:
         raise ValueError(f"matrix flagged Hermitian has relative defect {defect:.3e}")
     return float(np.abs(np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))).sum())
+
+
+def tr_sqrt_psd(mat: np.ndarray) -> float:
+    """tr sqrt of a PSD-by-construction radicand.
+
+    The matrix is symmetrized and eigen-clipped at zero; an eigenvalue
+    below RADICAND_EIG_FLOOR signals an input that is not a truncated-unitary
+    radicand and raises EstimatorError.
+    """
+    eigs = _hermitian_eigvalsh(mat)
+    scale = max(1.0, float(np.abs(eigs).max(initial=0.0)))
+    if eigs.size and eigs.min() < RADICAND_EIG_FLOOR * scale:
+        raise EstimatorError(
+            f"radicand eigenvalue {eigs.min():.3e} below tolerance"
+        )
+    return float(np.sqrt(np.clip(eigs, 0.0, None)).sum())
+
+
+@lru_cache(maxsize=256)
+def displacement_q(shape: TruncationShape, eta: float) -> DenseOperator:
+    """Exact truncation of exp(i*eta*q) to a single-mode shape."""
+    if shape.mode_count != 1:
+        raise OperatorError("operation requires a single-mode shape")
+    occ = basis_map(shape).occupations(0)
+    beta = 1j * eta / math.sqrt(2.0)
+    return DenseOperator(shape, _displacement_table(occ, occ, beta))
+
+
+def cosine_unitary_pair(
+    arg: PolyOperator, shape: TruncationShape
+) -> tuple[DenseOperator, DenseOperator]:
+    """Exact truncations of U = exp(iO) and U^2 for a linear q/p argument O."""
+    c, d = _linear_qp_coefficients(arg)
+    betas = (1j * c - d) / math.sqrt(2.0)
+    u = DenseOperator(shape, _tensor_displacement(shape, betas))
+    u2 = DenseOperator(shape, _tensor_displacement(shape, 2.0 * betas))
+    return u, u2
+
+
+def cosine_radicand(arg: PolyOperator, rho: np.ndarray, shape: TruncationShape):
+    """rho^dag K rho, the Gram radicand of ||(cos O - (cos O)_N) rho||_1 =
+    (1/2) tr sqrt(rho^dag K rho), with K assembled from the exact
+    truncations of U = exp(iO) and U^2 through the block identity
+    P U^2 P = A^2 + C B."""
+    u, u2 = cosine_unitary_pair(arg, shape)
+    a = u.matrix
+    eye = np.eye(a.shape[0])
+    cb = u2.matrix - a @ a
+    k = (eye - a.conj().T @ a) + (eye - a @ a.conj().T) + cb + cb.conj().T
+    return rho.conj().T @ k @ rho
 
 
 def unitary_offblock_norm(u: np.ndarray, m: np.ndarray, rows=None) -> float:
@@ -125,8 +188,8 @@ def gkp_bound_oracle(amplitude, eta, eps, rho: np.ndarray, sector: int) -> float
     levels 0..N, in the Fock basis and without compression.
 
     Sector k is sector 0 on R^-k rho R^k.  Each off-block norm is the
-    row N + 1 plus the singular-value sum of F M, for F every row of U
-    (or of U^dag = D(-beta), built as such) beyond N + 1 up to N + 301.
+    singular-value sum of F M, for F every row of U (or of
+    U^dag = D(-beta), built as such) from N + 1 up to N + 301.
     """
     d = rho.shape[0]
     phases = np.power(1j, (sector * np.arange(d)) % 4)
@@ -147,8 +210,8 @@ def gkp_bound_oracle(amplitude, eta, eps, rho: np.ndarray, sector: int) -> float
     bdb = b.conj().T @ b
 
     def beyond(w, m):
-        """||P_perp W m||_1 by rows: row N + 1, then all rows past it."""
-        return float(np.linalg.norm(w[d] @ m) + trace_norm(w[d + 1 :] @ m))
+        """||P_perp W m||_1 from all rows past the shape at once."""
+        return trace_norm(w[d:] @ m)
 
     t1 = max(float(np.trace((q.conj().T @ q - bdb) @ rho).real), 0.0)
     t2 = 2.0 * beyond(u, q @ rho @ b.conj().T)

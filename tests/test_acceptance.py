@@ -29,7 +29,6 @@ from models import (
 from certilind.operators import (
     PolyOperator,
     displacement_block,
-    displacement_q,
     fock_density,
     materialize_poly,
 )
@@ -38,6 +37,7 @@ from oracles import (
     defect_cat_closed_form,
     defect_drive_closed_form,
     dissipator_defect_blocks,
+    displacement_q,
     hermitian_trace_norm,
     lindblad_superoperator,
     unitary_offblock_norm,

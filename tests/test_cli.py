@@ -617,3 +617,26 @@ result = run_fixed(built.model, built.initial, built.shape, config)
         "estimators.defect",
         "solver.step",
     } <= set(report["spans"])
+    assert "estimators.full_eig" not in report["spans"]  # no eigensolve
+
+
+def test_bench_tracing_hooks_attach_cosine():
+    # the cosine route: its defect spans, from a cached compressed factor
+    # with no eigensolve
+    report = traced_run_report(
+        """
+from certilind.lindblad import CoefficientFn, CosineExpr, LindbladModel
+from certilind.operators import PolyOperator
+
+arg = 1.5 * PolyOperator.position(1, 0)
+model = LindbladModel(1, hamiltonian=((CoefficientFn.constant(1.0), CosineExpr(arg)),))
+shape = Rect([10])
+config = SolverConfig(final_time=0.05, time_tol=1e-10)
+result = run_fixed(model, fock_density(shape, [2]), shape, config)
+"""
+    )
+    assert report["steps"] >= 2
+    assert {"lindblad.apply", "estimators.defect", "solver.step"} <= set(
+        report["spans"]
+    )
+    assert "estimators.full_eig" not in report["spans"]

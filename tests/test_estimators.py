@@ -13,10 +13,18 @@ from certilind.estimators import (
     euler_timedep_step_bound,
     model_space_defect,
     taylor_step_bound,
-    tr_sqrt_psd,
     xi_step,
 )
-from certilind.fockspace import DenseOperator, Rect, embed, trace_norm
+from certilind.fockspace import (
+    DenseOperator,
+    Rect,
+    _complement_indices,
+    _embedding_indices,
+    basis_map,
+    dimension,
+    embed,
+    trace_norm,
+)
 from certilind.lindblad import (
     CoefficientFn,
     GkpDissipator,
@@ -37,20 +45,22 @@ from models import (
 from certilind.operators import (
     PolyOperator,
     displacement_block,
-    displacement_q,
     fock_density,
     materialize_poly,
 )
 from certilind.presets import preset_model_file
 from certilind.solver import rk4_stepper
 from oracles import (
+    cosine_radicand,
     defect_cat_closed_form,
     defect_drive_closed_form,
+    displacement_q,
     dissipator_defect_blocks,
     gkp_bound_oracle,
     hermitian_trace_norm,
     lindblad_superoperator,
     rotation_invariant_density,
+    tr_sqrt_psd,
     two_sided_generator,
     unitary_offblock_norm,
 )
@@ -373,8 +383,8 @@ class TestGkpBound:
         shape = Rect([12])
         rho = DenseOperator(shape, random_density(np.random.default_rng(119), 13))
         ctx = _gkp_context(1.0, eta, eps, shape)
-        # U = Id has no rows past N + 1: F has rank 0 and its terms are 0
-        assert (ctx.rank == 0) == (eta == 0.0)
+        # U = Id: F is the row N + 1 of the identity, of rank 1
+        assert (ctx.rank == 1) == (eta == 0.0)
         bound = model_space_defect(gkp_model(1.0, eta, eps), 0.0, rho)
         oracle = sum(gkp_bound_oracle(1.0, eta, eps, rho.matrix, k) for k in range(4))
         assert bound == pytest.approx(oracle, rel=1e-12, abs=4.0 * ctx.tail)
@@ -494,15 +504,75 @@ class TestCosineDefect:
             ).sum()
             assert abs(val - brute) < 1e-9
 
+    def test_two_mode_matches_enlarged_brute_force(self):
+        # U^dag enters as the conjugate transpose of the tensor-product
+        # displacement, independently of the parity identity
+        rng = np.random.default_rng(126)
+        arg = 0.5 * PolyOperator.position(2, 0) + 0.25 * PolyOperator.momentum(2, 1)
+        shape, big = Rect([5, 4]), Rect([30, 30])
+        rho = random_density(rng, dimension(shape))
+        val = cosine_defect(arg, DenseOperator(shape, rho))
+        states = np.array(basis_map(big).states)
+        u = np.ones((len(states), len(states)), dtype=complex)
+        for j, beta in enumerate((0.5j / math.sqrt(2.0), -0.25 / math.sqrt(2.0))):
+            table = displacement_block(31, 31, beta)
+            u *= table[np.ix_(states[:, j], states[:, j])]
+        pos = _embedding_indices(shape, big)
+        perp = _complement_indices(shape, big)
+        cos_cols = 0.5 * (u[:, pos] + u[pos, :].conj().T)
+        brute = np.linalg.svd(cos_cols[perp] @ rho, compute_uv=False).sum()
+        assert brute > 1e-3
+        assert abs(val - brute) < 1e-9
+
+    def test_second_call_builds_no_table(self, monkeypatch):
+        calls = []
+        block = estimators.displacement_block
+
+        def counting_block(*args):
+            calls.append(args)
+            return block(*args)
+
+        monkeypatch.setattr(estimators, "displacement_block", counting_block)
+        estimators._cosine_factor.cache_clear()
+        rng = np.random.default_rng(127)
+        rho = DenseOperator(Rect([6, 3]), random_density(rng, 28))
+        arg = 0.9 * PolyOperator.position(2, 0) + 0.4 * PolyOperator.position(2, 1)
+        first = cosine_defect(arg, rho)
+        assert len(calls) == 2  # one table per mode
+        assert cosine_defect(arg, rho) == first
+        assert len(calls) == 2
+
+    def test_compression_stays_within_its_tail(self, monkeypatch):
+        # a small argument on a tall shape: the band's smallest singular
+        # values fall below the cut, so rows are dropped into the tail
+        rng = np.random.default_rng(128)
+        shape = Rect([20])
+        rho = random_density(rng, 21)
+        arg = 0.2 * PolyOperator.position(1, 0)
+        estimators._cosine_factor.cache_clear()
+        kept, tail = estimators._cosine_factor(arg, shape)
+        assert kept.shape[0] < 21 and tail > 0.0
+        got = cosine_defect(arg, DenseOperator(shape, rho))
+        estimators._cosine_factor.cache_clear()
+        monkeypatch.setattr(estimators, "_compressed", lambda f: (f, f[:0]))
+        full = cosine_defect(arg, DenseOperator(shape, rho))
+        estimators._cosine_factor.cache_clear()
+        assert got >= full
+        assert got - full <= tail * np.linalg.norm(rho) + 1e-15 * full
+
     def test_radicand_guard_is_quiet_for_truncated_unitaries(self):
+        # the Gram form (1/2) tr sqrt(rho^dag K rho) of the same norm: its
+        # radicand passes the PSD guard, and its value is the defect's
         rng = np.random.default_rng(118)
-        for n in (4, 9, 14):
-            rho = DenseOperator(Rect([n]), random_density(rng, n + 1))
-            arg = 1.3 * PolyOperator.position(1, 0) + 0.4 * PolyOperator.momentum(
-                1, 0
-            )
-            val = cosine_defect(arg, rho)
+        single = 1.3 * PolyOperator.position(1, 0) + 0.4 * PolyOperator.momentum(1, 0)
+        double = 0.5 * PolyOperator.position(2, 0) + 0.25 * PolyOperator.momentum(2, 1)
+        cases = [(Rect([n]), single) for n in (4, 9, 14)] + [(Rect([5, 4]), double)]
+        for shape, arg in cases:
+            rho = random_density(rng, dimension(shape))
+            gram = 0.5 * tr_sqrt_psd(cosine_radicand(arg, rho, shape))
+            val = cosine_defect(arg, DenseOperator(shape, rho))
             assert np.isfinite(val) and val >= 0.0
+            assert gram == pytest.approx(val, rel=1e-6)
 
 
 class TestTimeBounds:

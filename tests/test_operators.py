@@ -23,14 +23,14 @@ from certilind.operators import (
     PolyOperator,
     _hermitian_part,
     cosine_of,
-    cosine_unitary_pair,
     displacement_block,
-    displacement_q,
     fock_density,
     materialize_poly,
 )
 from oracles import (
+    cosine_unitary_pair,
     displacement_block_loop,
+    displacement_q,
     hermitian_trace_norm,
     ladder,
     letter_product_poly,

@@ -1028,7 +1028,7 @@ class TestRealGkpRuns:
         result = run_fixed(built.model, built.initial, built.shape, config)
         assert result.frame == solver.WorkingFrame(gauge=(1,))
         assert len(result.trajectory) == 200
-        assert result.xi == 0.39368088852843774
+        assert result.xi == 0.353738891930637
 
 
 class TestWorkingFrame:
