@@ -12,6 +12,7 @@ package.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -176,17 +177,7 @@ def _enumerate_states(shape: TruncationShape) -> list[tuple[int, ...]]:
     if isinstance(shape, Sector):
         return [s for s in basis_map(shape.base).states if shape.in_sector(s)]
     if isinstance(shape, Rect):
-        states: list[tuple[int, ...]] = []
-
-        def walk_rect(prefix: tuple[int, ...], j: int):
-            if j == len(shape.caps):
-                states.append(prefix)
-                return
-            for k in range(shape.caps[j] + 1):
-                walk_rect(prefix + (k,), j + 1)
-
-        walk_rect((), 0)
-        return states
+        return list(itertools.product(*(range(c + 1) for c in shape.caps)))
 
     states = []
 
@@ -235,17 +226,6 @@ def contains(shape_small: TruncationShape, shape_big: TruncationShape) -> bool:
         raise ShapeError(
             f"mode-count mismatch: {shape_small.mode_count} vs {shape_big.mode_count}"
         )
-    if isinstance(shape_small, Rect) and isinstance(shape_big, Rect):
-        return all(a <= b for a, b in zip(shape_small.caps, shape_big.caps))
-    if isinstance(shape_small, Rect) and isinstance(shape_big, WeightedTotal):
-        # the max-grade corner decides
-        return shape_big.admits(shape_small.caps)
-    if isinstance(shape_small, WeightedTotal) and isinstance(shape_big, Rect):
-        return all(
-            int(shape_small.cap / w) <= c
-            for w, c in zip(shape_small.weights, shape_big.caps)
-        )
-    # any other pair, charge sectors included: test every state
     return all(shape_big.admits(s) for s in basis_map(shape_small).states)
 
 
@@ -253,12 +233,13 @@ def contains(shape_small: TruncationShape, shape_big: TruncationShape) -> bool:
 def _embedding_indices(
     shape_small: TruncationShape, shape_big: TruncationShape
 ) -> np.ndarray:
-    if not contains(shape_small, shape_big):
-        raise ShapeError(f"{shape_small} is not contained in {shape_big}")
-    big = basis_map(shape_big)
-    idx = np.array(
-        [big.index[s] for s in basis_map(shape_small).states], dtype=np.intp
-    )
+    """Positions in shape_big of shape_small's basis states; ShapeError
+    when shape_small has a state shape_big lacks."""
+    big = basis_map(shape_big).index
+    try:
+        idx = np.array([big[s] for s in basis_map(shape_small).states], dtype=np.intp)
+    except KeyError:
+        raise ShapeError(f"{shape_small} is not contained in {shape_big}") from None
     idx.setflags(write=False)
     return idx
 
@@ -267,10 +248,9 @@ def _embedding_indices(
 def _complement_indices(
     shape_small: TruncationShape, shape_big: TruncationShape
 ) -> np.ndarray:
-    inside = set(_embedding_indices(shape_small, shape_big).tolist())
-    idx = np.array(
-        [i for i in range(dimension(shape_big)) if i not in inside], dtype=np.intp
-    )
+    outside = np.ones(dimension(shape_big), dtype=bool)
+    outside[_embedding_indices(shape_small, shape_big)] = False
+    idx = np.flatnonzero(outside)
     idx.setflags(write=False)
     return idx
 
@@ -334,10 +314,10 @@ def project(
     if op.shape == shape_small:
         return op, 0.0
     idx = _embedding_indices(shape_small, op.shape)
-    sub = op.matrix[np.ix_(idx, idx)]
-    kept = np.zeros_like(op.matrix)
-    kept[np.ix_(idx, idx)] = sub
-    return DenseOperator(shape_small, sub), trace_norm(op.matrix - kept)
+    block = np.ix_(idx, idx)
+    discarded = op.matrix.copy()
+    discarded[block] = 0
+    return DenseOperator(shape_small, op.matrix[block]), trace_norm(discarded)
 
 
 def trace_norm(op) -> float:

@@ -20,7 +20,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .fockspace import DenseOperator, Rect, TruncationShape, WeightedTotal, dimension
+from .fockspace import DenseOperator, Rect, TruncationShape, WeightedTotal
+from .fockspace import basis_map, dimension
 from .lindblad import (
     CoefficientFn,
     CosineExpr,
@@ -55,6 +56,12 @@ def _check_keys(obj: dict, allowed: set[str], where: str):
         )
 
 
+def _required(obj: dict, key: str, where: str):
+    if key not in obj:
+        raise ModelFileError(f"{where} needs '{key}'")
+    return obj[key]
+
+
 # ---------------------------------------------------------------------------
 # shapes
 # ---------------------------------------------------------------------------
@@ -69,7 +76,9 @@ def shape_from_spec(spec: dict) -> TruncationShape:
     if "weighted" in spec:
         w = spec["weighted"]
         _check_keys(w, {"w", "cap"}, "shape.weighted")
-        return WeightedTotal([Fraction(str(x)) for x in w["w"]], Fraction(str(w["cap"])))
+        weights = _required(w, "w", "shape.weighted")
+        cap = _required(w, "cap", "shape.weighted")
+        return WeightedTotal([Fraction(str(x)) for x in weights], Fraction(str(cap)))
     raise ModelFileError("shape needs a rect or weighted entry")
 
 
@@ -249,7 +258,12 @@ def _compile_expr(src: str, params: dict):
     env.update(params)
 
     def fn(t: float) -> float:
-        return float(eval(code, {"__builtins__": {}}, {**env, "t": t}))
+        try:
+            return float(eval(code, {"__builtins__": {}}, {**env, "t": t}))
+        except ArithmeticError as exc:
+            raise ModelFileError(
+                f"coefficient expression '{src}' fails at t={t!r}: {exc}"
+            ) from None
 
     return fn
 
@@ -474,8 +488,8 @@ class ModelFile:
                 diss.append(
                     GkpDissipator(
                         amplitude=float(g.get("A", 1.0)),
-                        eta=float(g["eta"]),
-                        eps=float(g["eps"]),
+                        eta=float(_required(g, "eta", "gkp dissipator")),
+                        eps=float(_required(g, "eps", "gkp dissipator")),
                         sector=int(g.get("k", 0)),
                     )
                 )
@@ -506,6 +520,8 @@ class ModelFile:
             state = [int(k) for k in self.initial["fock"]]
             if len(state) != self.modes:
                 raise ModelFileError("initial fock index must have one entry per mode")
+            if tuple(state) not in basis_map(shape).index:
+                raise ModelFileError(f"initial fock index {state} is not a state of {shape}")
             return fock_density(shape, state)
         path = self.initial["file"]
         if base_dir is not None:
@@ -545,12 +561,13 @@ def load_state_json(path) -> DenseOperator:
     with open(path) as fh:
         doc = json.load(fh)
     _check_keys(doc, {"dim", "shape", "data"}, "state file")
-    shape = shape_from_spec(doc["shape"])
-    d = int(doc["dim"])
+    shape = shape_from_spec(_required(doc, "shape", "state file"))
+    d = int(_required(doc, "dim", "state file"))
     if d != dimension(shape):
         raise ModelFileError("state file dim does not match its shape")
     flat = np.array(
-        [complex(re, im) for re, im in doc["data"]], dtype=np.complex128
+        [complex(re, im) for re, im in _required(doc, "data", "state file")],
+        dtype=np.complex128,
     )
     if flat.size != d * d:
         raise ModelFileError("state file data length does not match dim^2")

@@ -8,16 +8,16 @@ step is accepted only while xi stays under the linear-in-time budget
 (t/T) * space_tol, the shape grows on rejection, and it shrinks when the
 budget divided by the downsize factor tolerates the discarded tail.
 
-Both integrate in a working frame (``WorkingFrame``).  A polynomial
-model runs on the charge sector of its initial state when the model
-conserves a charge (``conserved_charges``) and the state lies in one
-sector: the state stays there exactly, and the other entries are exact
-zeros.  It runs in real arithmetic when the model has a real gauge
-(``real_gauge``) and the initial state is real in it: the gauged state
-stays real exactly.  A GKP model whose dissipators form full rotation
-orbits runs a real rotation-invariant state in float64 the same way.
-Sizes, error norms and the final state still refer to the base shape
-and the base basis.
+Both run every scheme through one loop in a working frame
+(``WorkingFrame``).  A polynomial model runs on the charge sector of its
+initial state when the model conserves a charge (``conserved_charges``)
+and the state lies in one sector: the state stays there exactly, and
+the other entries are exact zeros.  It runs in real arithmetic when the
+model has a real gauge (``real_gauge``) and the initial state is real in
+it: the gauged state stays real exactly.  A GKP model whose dissipators
+form full rotation orbits runs a real rotation-invariant state in
+float64 the same way.  Sizes, error norms and the final state still
+refer to the base shape and the base basis.
 """
 
 from __future__ import annotations
@@ -504,50 +504,9 @@ def run_fixed(
     config: SolverConfig,
 ) -> RunResult:
     """Integrate to final_time on a fixed shape, accumulating xi at every
-    accepted step (or the per-step time bounds when the certificate is on).
-    The adaptive_rk scheme runs the space-adaptive driver's loop with the
-    shape held fixed."""
-    ledger = EstimatorLedger.empty()
-    state, ledger = _prepare_initial(rho0, shape, ledger)
-    frame, model, rho = _enter_frame(model, state)
-    if config.scheme == "adaptive_rk":
-        rho, t, ledger, records = _run_dp5(model, rho, config, ledger, resize=False)
-        return RunResult(
-            DensityState(frame.leave(rho), t), ledger, tuple(records), frame
-        )
-
-    # fixed-step schemes on a uniform grid
-    t_final = config.final_time
-    n_steps = max(1, int(round(t_final / config.dt)))
-    dt = t_final / n_steps
-    records: list[TrajectoryRecord] = []
-    t = 0.0
-    for n in range(n_steps):
-        if config.enable_time_certificate:
-            if config.scheme == "taylor":
-                bound = taylor_step_bound(model, rho, dt, config.taylor_order)
-                kind = "time_taylor"
-            else:
-                bound = euler_timedep_step_bound(model, rho, t, dt)
-                kind = "time_euler"
-        if config.scheme == "euler":
-            rho_new = euler_stepper(model, t, rho, dt)
-        elif config.scheme == "taylor":
-            rho_new = taylor_stepper(model, rho, dt, config.taylor_order)
-        else:
-            rho_new = rk4_stepper(model, t, rho, dt)
-        t = (n + 1) * dt
-        if config.enable_time_certificate:
-            ledger = ledger.record(t, kind, bound)
-            rate = 0.0
-        else:
-            rate = model_space_defect(model, t, rho_new)
-            ledger = xi_step(ledger, t, rate, dt)
-        rho = rho_new
-        records.append(_record(t=t, rho=rho, ledger=ledger, rate=rate))
-    return RunResult(
-        DensityState(frame.leave(rho), t), ledger, tuple(records), frame
-    )
+    accepted step (or the per-step time bounds when the certificate is on)."""
+    rho, ledger = _prepare_initial(rho0, shape, EstimatorLedger.empty())
+    return _run(model, rho, config, ledger, resize=False)
 
 
 def run_adaptive(
@@ -569,27 +528,41 @@ def run_adaptive(
     """
     if config.scheme != "adaptive_rk":
         raise SolverError("run_adaptive drives the adaptive_rk scheme")
-    frame, model, rho = _enter_frame(model, rho0)
-    rho, t, ledger, records = _run_dp5(
-        model, rho, config, EstimatorLedger.empty(), resize=True
-    )
-    return RunResult(
-        DensityState(frame.leave(rho), t), ledger, tuple(records), frame
-    )
+    return _run(model, rho0, config, EstimatorLedger.empty(), resize=True)
 
 
-def _run_dp5(
+def _fixed_step(model, rho, t, dt, config):
+    """One step of the rk4, euler or taylor scheme from t, and the
+    scheme's certified (kind, bound) for it when the time certificate is
+    on (else None), taken at the step's start."""
+    certificate = None
+    if config.scheme == "taylor":
+        if config.enable_time_certificate:
+            bound = taylor_step_bound(model, rho, dt, config.taylor_order)
+            certificate = ("time_taylor", bound)
+        rho_next = taylor_stepper(model, rho, dt, config.taylor_order)
+    elif config.scheme == "euler":
+        if config.enable_time_certificate:
+            certificate = ("time_euler", euler_timedep_step_bound(model, rho, t, dt))
+        rho_next = euler_stepper(model, t, rho, dt)
+    else:
+        rho_next = rk4_stepper(model, t, rho, dt)
+    return StepResult(rho_next, dt, dt, None), certificate
+
+
+def _run(
     model: LindbladModel,
-    rho: DenseOperator,
+    rho0: DenseOperator,
     config: SolverConfig,
     ledger: EstimatorLedger,
     resize: bool,
-):
-    """The DP5 loop of both drivers, from t = 0 on the shape of ``rho``
-    (in the working frame) to final_time: the final state and time, the
-    ledger and the trajectory.  With ``resize`` the space controller of
-    ``run_adaptive`` grows and shrinks the shape; without it every step
-    is accepted on the one shape, and the loop is ``run_fixed``'s."""
+) -> RunResult:
+    """The loop of both drivers and every scheme, in the working frame of
+    ``rho0``, from t = 0 on its shape to final_time.  adaptive_rk takes
+    DP5 steps; the other schemes take n = round(T/dt) steps, the k-th
+    ending at exactly k * (T/n).  With ``resize`` the space controller of
+    ``run_adaptive`` grows and shrinks the shape."""
+    frame, model, rho = _enter_frame(model, rho0)
     if resize:
         for name in ("grow_step", "shrink_step"):
             try:
@@ -598,6 +571,10 @@ def _run_dp5(
                 raise SolverError(f"{name}: {exc}") from exc
     t = 0.0
     t_final = config.final_time
+    fixed = config.scheme != "adaptive_rk"
+    if fixed:
+        dt = t_final / max(1, int(round(t_final / config.dt)))
+    steps = 0
     records: list[TrajectoryRecord] = []
     h_next = None
 
@@ -606,16 +583,23 @@ def _run_dp5(
 
     stage = None  # L_N at the current state; dropped whenever the shape changes
     while t < t_final * (1 - 1e-15):
-        step = adaptive_solve_one_step(
-            model, rho.shape, rho, t, config.time_tol, t_final,
-            h_start=h_next, first_stage=stage,
-        )
-        rate = model_space_defect(model, t + step.dt, step.rho_next)
-        if resize and ledger.xi + step.dt * rate >= budget(t + step.dt):
+        certificate = None
+        if fixed:
+            step, certificate = _fixed_step(model, rho, t, dt, config)
+            t_next = (steps + 1) * dt
+        else:
+            step = adaptive_solve_one_step(
+                model, rho.shape, rho, t, config.time_tol, t_final,
+                h_start=h_next, first_stage=stage,
+            )
+            t_next = t + step.dt
+        h_next = step.h_next
+        rate = 0.0 if certificate else model_space_defect(model, t_next, step.rho_next)
+        if resize and ledger.xi + step.dt * rate >= budget(t_next):
             # rejected: grow, then retake the step on the grown shape
             records.append(
                 _record(
-                    t=t + step.dt, rho=step.rho_next, ledger=ledger, rate=rate,
+                    t=t_next, rho=step.rho_next, ledger=ledger, rate=rate,
                     accepted=False, resize="grow",
                 )
             )
@@ -627,14 +611,16 @@ def _run_dp5(
                     f"{config.max_dimension}"
                 )
             rho = embed(rho, grown)
-            h_next = step.h_next
             stage = None
             continue
         rho = step.rho_next
         stage = step.last_stage
-        t += step.dt
-        h_next = step.h_next
-        ledger = xi_step(ledger, t, rate, step.dt)
+        t = t_next
+        steps += 1
+        if certificate:
+            ledger = ledger.record(t, *certificate)
+        else:
+            ledger = xi_step(ledger, t, rate, step.dt)
         change = "none"
         if resize:
             threshold = budget(t) / config.downsize_factor
@@ -649,7 +635,7 @@ def _run_dp5(
                     stage = None
                     change = "shrink"
         records.append(_record(t=t, rho=rho, ledger=ledger, rate=rate, resize=change))
-    return rho, t, ledger, records
+    return RunResult(DensityState(frame.leave(rho), t), ledger, tuple(records), frame)
 
 
 def _try_shrink(shape: TruncationShape, config: SolverConfig):

@@ -54,6 +54,15 @@ def cat_doc(cap=12, **solver):
     }
 
 
+def state_file_without(doc, tmp_path, key):
+    """Point ``doc`` at a state file of its shape that lacks ``key``."""
+    dump_state_json(fock_density(Rect(doc["shape"]["rect"]), [0]), tmp_path / "init.json")
+    state = json.loads((tmp_path / "init.json").read_text())
+    del state[key]
+    (tmp_path / "init.json").write_text(json.dumps(state))
+    doc["initial"] = {"file": "init.json"}
+
+
 def format_poly(poly: PolyOperator) -> str:
     """Canonical string form; reparses to an identical polynomial.  A
     complex coefficient is written as two terms of its word: the real
@@ -305,6 +314,69 @@ class TestCommands:
         assert cmd_simulate(path, str(tmp_path / "out")) == 1
         err = capsys.readouterr().err
         assert "qq1" in err
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            pytest.param(
+                lambda doc, path: doc.update(initial={"fock": [9]}),
+                "initial fock index [9] is not a state of Rect(caps=(5,))",
+                id="fock-9",
+            ),
+            pytest.param(
+                lambda doc, path: doc.update(initial={"fock": [-1]}),
+                "initial fock index [-1] is not a state of Rect(caps=(5,))",
+                id="fock-minus-1",
+            ),
+            pytest.param(
+                lambda doc, path: doc.update(dissipators=[{"gkp": {"eps": 0.15}}]),
+                "gkp dissipator needs 'eta'",
+                id="gkp-eta",
+            ),
+            pytest.param(
+                lambda doc, path: doc.update(dissipators=[{"gkp": {"eta": 3.5}}]),
+                "gkp dissipator needs 'eps'",
+                id="gkp-eps",
+            ),
+            pytest.param(
+                lambda doc, path: doc.update(shape={"weighted": {"w": [1]}}),
+                "shape.weighted needs 'cap'",
+                id="weighted-cap",
+            ),
+            pytest.param(
+                lambda doc, path: doc.update(shape={"weighted": {"cap": 5}}),
+                "shape.weighted needs 'w'",
+                id="weighted-w",
+            ),
+            *[
+                pytest.param(
+                    lambda doc, path, key=key: state_file_without(doc, path, key),
+                    f"state file needs '{key}'",
+                    id=f"state-{key}",
+                )
+                for key in ("data", "dim", "shape")
+            ],
+            pytest.param(
+                lambda doc, path: doc.update(
+                    hamiltonian=[{"coeff": {"expr": "1/t"}, "op": "a0 + ad0"}]
+                ),
+                "coefficient expression '1/t' fails at t=0.0",
+                id="expr-1/t",
+            ),
+        ],
+    )
+    def test_malformed_model_file_exit_code_and_message(
+        self, tmp_path, capsys, edit, message
+    ):
+        # each once escaped cmd_simulate as a KeyError or ZeroDivisionError
+        doc = cat_doc(cap=5)
+        edit(doc, tmp_path)
+        path = write_model(tmp_path, doc)
+        assert cmd_simulate(path, str(tmp_path / "out")) == 1
+        err = capsys.readouterr().err
+        assert err.count("certilind: error:") == 1
+        assert message in err
+        assert not (tmp_path / "out").exists()
 
     def test_certification_failure_exit_code(self, tmp_path):
         doc = cat_doc(cap=6)
@@ -618,6 +690,20 @@ result = run_fixed(built.model, built.initial, built.shape, config)
         "solver.step",
     } <= set(report["spans"])
     assert "estimators.full_eig" not in report["spans"]  # no eigensolve
+
+
+def test_bench_tracing_hooks_attach_certified_euler():
+    # the certified Euler run: its steps go through the traced stepper,
+    # and its per-step bounds through the traced ledger
+    report = traced_run_report(
+        """
+built = preset_model_file("exampleB").build()
+config = replace(built.config, final_time=4 * built.config.dt)
+result = run_fixed(built.model, built.initial, built.shape, config)
+"""
+    )
+    assert report["steps"] == 4
+    assert {"lindblad.apply", "estimators.ledger", "solver.step"} <= set(report["spans"])
 
 
 def test_bench_tracing_hooks_attach_cosine():

@@ -248,6 +248,49 @@ class TestRunFixed:
             kinds = {e.kind for e in result.ledger.entries}
             assert kinds == {"time_taylor"}
 
+    @pytest.mark.parametrize(
+        "scheme, certified",
+        [
+            ("rk4", False),
+            ("euler", False),
+            ("euler", True),
+            ("taylor", False),
+            ("taylor", True),
+        ],
+    )
+    def test_fixed_step_grid_and_ledger(self, monkeypatch, scheme, certified):
+        # n = round(T/dt) steps of T/n, the k-th ending at exactly
+        # k * (T/n) (a running sum drifts on this grid); the defect prices
+        # every step without the time certificate and none with it
+        defect, defect_times = solver.model_space_defect, []
+
+        def counting_defect(model, t, rho):
+            defect_times.append(t)
+            return defect(model, t, rho)
+
+        monkeypatch.setattr(solver, "model_space_defect", counting_defect)
+        t_final, n = 0.3, 43
+        config = SolverConfig(
+            final_time=t_final,
+            scheme=scheme,
+            dt=0.007,
+            taylor_order=3,
+            enable_time_certificate=certified,
+        )
+        shape = Rect([8])
+        result = run_fixed(cat_model(1.0), fock_density(shape, [0]), shape, config)
+        times = [k * (t_final / n) for k in range(1, n + 1)]
+        assert [r.time for r in result.trajectory] == times
+        assert result.final.time == times[-1]
+        assert [e.time for e in result.ledger.entries] == times
+        kinds = {e.kind for e in result.ledger.entries}
+        if certified:
+            assert defect_times == []
+            assert kinds == {f"time_{scheme}"}
+        else:
+            assert defect_times == times
+            assert kinds == {"space_defect"}
+
     def test_certificate_requires_fixed_scheme(self):
         with pytest.raises(SolverError):
             SolverConfig(
