@@ -2,18 +2,22 @@
 
 A model file is a single JSON document: shape, parameters, Hamiltonian
 terms (time-dependent scalar coefficient times an operator expression),
-jump operators, initial state and solver settings.  Operator strings are
-sums of products over the tokens ``a<j>``, ``ad<j>``, ``id`` (with
-``b<j>``/``bd<j>`` accepted as aliases for mode j+1), numeric literals
-(``j``-suffixed for imaginary parts) and named parameters; numbers that
-enter certificates (weights, caps) accept exact rational strings.
+jump operators, initial state and solver settings.  Each value's JSON
+type is checked where it is read; a malformed file raises ModelFileError
+naming the key path.  Operator strings and coefficient expressions are
+both read by Python's parser (``ast``) and accepted only in a fixed
+shape.  An operator string is a sum of products over ``a<j>``,
+``ad<j>``, ``id`` (``b<j>``/``bd<j>`` are aliases for mode j+1), numbers
+(``j``-suffixed for imaginary parts) and named parameters, each with an
+optional ``^`` power that is a plain integer; numbers that enter
+certificates (weights, caps) accept exact rational strings.
 """
-
 from __future__ import annotations
 
 import ast
 import json
 import math
+import os
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -22,14 +26,8 @@ import numpy as np
 
 from .fockspace import DenseOperator, Rect, TruncationShape, WeightedTotal
 from .fockspace import basis_map, dimension
-from .lindblad import (
-    CoefficientFn,
-    CosineExpr,
-    GkpDissipator,
-    LindbladModel,
-    PolyExpr,
-)
-from .operators import PolyOperator
+from .lindblad import CoefficientFn, CosineExpr, GkpDissipator, LindbladModel, PolyExpr
+from .operators import PolyOperator, fock_density
 from .solver import SolverConfig
 
 __all__ = [
@@ -48,8 +46,14 @@ class ModelFileError(ValueError):
     """Malformed model file; the message names the offending content."""
 
 
+def _object(key, raw) -> dict:
+    if not isinstance(raw, dict):
+        raise ModelFileError(f"{key} must be an object, got {raw!r}")
+    return raw
+
+
 def _check_keys(obj: dict, allowed: set[str], where: str):
-    unknown = set(obj) - allowed
+    unknown = set(_object(where, obj)) - allowed
     if unknown:
         raise ModelFileError(
             f"unknown key(s) {sorted(unknown)} in {where}; allowed: {sorted(allowed)}"
@@ -62,6 +66,52 @@ def _required(obj: dict, key: str, where: str):
     return obj[key]
 
 
+# checks of one JSON value: each takes its key path and names it on error
+
+
+def _number(key, raw):
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        raise ModelFileError(f"{key} must be a number, got {raw!r}")
+    return float(raw)
+
+
+def _integer(key, raw):
+    if isinstance(raw, float) and raw.is_integer():
+        raw = int(raw)
+    if isinstance(raw, bool) or not isinstance(raw, int):
+        raise ModelFileError(f"{key} must be an integer, got {raw!r}")
+    return raw
+
+
+def _flag(key, raw):
+    if not isinstance(raw, bool):
+        raise ModelFileError(f"{key} must be true or false, got {raw!r}")
+    return raw
+
+
+def _text(key, raw):
+    if not isinstance(raw, str):
+        raise ModelFileError(f"{key} must be a string, got {raw!r}")
+    return raw
+
+
+def _rational(key, raw):
+    """A number, or a string taken as an exact rational ("1/2")."""
+    if not isinstance(raw, bool) and isinstance(raw, (int, float, str)):
+        try:
+            return Fraction(str(raw))
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ModelFileError(f"{key} must be a number or a rational string, got {raw!r}")
+
+
+def _list(key, raw, item=lambda key, x: x) -> list:
+    """A JSON list, each entry checked by ``item``."""
+    if not isinstance(raw, (list, tuple)):
+        raise ModelFileError(f"{key} must be a list, got {raw!r}")
+    return [item(f"{key}[{i}]", x) for i, x in enumerate(raw)]
+
+
 # ---------------------------------------------------------------------------
 # shapes
 # ---------------------------------------------------------------------------
@@ -69,172 +119,120 @@ def _required(obj: dict, key: str, where: str):
 
 def shape_from_spec(spec: dict) -> TruncationShape:
     _check_keys(spec, {"rect", "weighted"}, "shape")
-    if "rect" in spec and "weighted" in spec:
-        raise ModelFileError("shape must be either rect or weighted, not both")
+    if len(spec) != 1:
+        raise ModelFileError("shape needs exactly one of rect / weighted")
     if "rect" in spec:
-        return Rect([int(c) for c in spec["rect"]])
-    if "weighted" in spec:
-        w = spec["weighted"]
-        _check_keys(w, {"w", "cap"}, "shape.weighted")
-        weights = _required(w, "w", "shape.weighted")
-        cap = _required(w, "cap", "shape.weighted")
-        return WeightedTotal([Fraction(str(x)) for x in weights], Fraction(str(cap)))
-    raise ModelFileError("shape needs a rect or weighted entry")
+        return Rect(_list("shape.rect", spec["rect"], _integer))
+    w = spec["weighted"]
+    _check_keys(w, {"w", "cap"}, "shape.weighted")
+    weights = _list("shape.weighted.w", _required(w, "w", "shape.weighted"), _rational)
+    cap = _rational("shape.weighted.cap", _required(w, "cap", "shape.weighted"))
+    return WeightedTotal(weights, cap)
 
 
 def shape_to_spec(shape: TruncationShape) -> dict:
     if isinstance(shape, Rect):
         return {"rect": list(shape.caps)}
-    return {
-        "weighted": {"w": [str(w) for w in shape.weights], "cap": str(shape.cap)}
-    }
+    return {"weighted": {"w": [str(w) for w in shape.weights], "cap": str(shape.cap)}}
 
 
 # ---------------------------------------------------------------------------
-# operator string grammar
+# expressions: operator strings and coefficients
 # ---------------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:"
-    r"(?P<number>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?j?|\.\d+(?:[eE][+-]?\d+)?j?)"
-    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[*^+-])"
-    r")"
-)
 
-_LADDER_RE = re.compile(r"^(a|ad|b|bd)(\d+)$")
-
-
-def _tokenize(text: str):
-    pos = 0
-    tokens = []
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m or m.end() == pos:
-            bad = text[pos:].split()[0] if text[pos:].split() else text[pos:]
-            raise ModelFileError(f"unknown token '{bad}' in operator string")
-        if m.lastgroup == "number":
-            tokens.append(("num", m.group("number")))
-        elif m.lastgroup == "name":
-            tokens.append(("name", m.group("name")))
-        else:
-            tokens.append(("op", m.group("op")))
-        pos = m.end()
-    return tokens
+def _parse(src: str, what: str, shown: str | None = None) -> ast.expr:
+    """The tree of ``src`` by Python's parser; a string it cannot parse,
+    or nested past its depth limit, is a model error quoting ``shown``."""
+    try:
+        return ast.parse(src, mode="eval").body
+    except (SyntaxError, RecursionError):
+        raise ModelFileError(f"cannot parse {what} '{shown or src}'") from None
 
 
-def _letter_for(name: str, modes: int):
-    m = _LADDER_RE.match(name)
-    if not m:
-        return None
-    kind, mode = m.group(1), int(m.group(2))
-    if kind in ("b", "bd"):
-        mode += 1
-        kind = "a" if kind == "b" else "ad"
-    if mode >= modes:
-        raise ModelFileError(
-            f"token '{name}' addresses mode {mode} but the model has {modes}"
-        )
-    return (mode, kind == "ad")
+_OUTSIDE_GRAMMAR = re.compile(r"[^A-Za-z0-9_\s.*^+-]|\*\*")
+_LEADING_ZEROS = re.compile(r"(?<![\w.])0+(?=\d)")
+_NUMBER_RE = re.compile(r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?j?")
+_LADDER_RE = re.compile(r"([ab])(d?)(\d+)")
 
 
 def parse_poly_string(text: str, modes: int, params: dict) -> PolyOperator:
-    """Parse a sum of scalar-times-word products into a PolyOperator."""
-    tokens = _tokenize(text)
-    if not tokens:
-        raise ModelFileError("empty operator string")
-    return _assemble_terms(text, tokens, modes, params)
-
-
-def _assemble_terms(text, tokens, modes, params) -> PolyOperator:
-    i = 0
-    n = len(tokens)
+    """Parse a sum of scalar-times-word products into a PolyOperator: a
+    +/- chain of * chains of factors, signs only before a term's first
+    factor.  A coefficient is complex(sign) times each factor's value."""
+    bad = _OUTSIDE_GRAMMAR.search(text)
+    if bad:
+        raise ModelFileError(f"unknown token '{bad.group()}' in operator string '{text}'")
+    # Python's reader takes neither ^ nor an integer with a leading zero
+    src = _LEADING_ZEROS.sub("", " ".join(text.split()).replace("^", "**"))
     terms = []
-
-    def parse_factor():
-        nonlocal i
-        kind, val = tokens[i]
-        i += 1
-        power = 1
-        if i + 1 < n and tokens[i] == ("op", "^"):
-            pk, pv = tokens[i + 1]
-            if pk != "num" or not pv.isdigit():
-                raise ModelFileError(
-                    f"exponent must be a plain integer in '{text}'"
-                )
-            power = int(pv)
-            i += 2
-        if kind == "num":
-            return complex(val) ** power, ()
-        letter = _letter_for(val, modes)
-        if letter is not None:
-            return 1.0, (letter,) * power
-        if val == "id":
-            return 1.0, ()
-        if val in params:
-            return complex(params[val]) ** power, ()
-        raise ModelFileError(f"unknown token '{val}' in operator string '{text}'")
-
-    while i < n:
-        sign = 1.0
-        while i < n and tokens[i][0] == "op" and tokens[i][1] in "+-":
-            if tokens[i][1] == "-":
-                sign = -sign
-            i += 1
-        if i >= n:
-            raise ModelFileError(f"dangling sign in operator string '{text}'")
-        coeff = complex(sign)
-        word: tuple = ()
-        c, w = parse_factor()
-        coeff *= c
-        word += w
-        while i < n and tokens[i] == ("op", "*"):
-            i += 1
-            if i >= n:
-                raise ModelFileError(f"dangling '*' in operator string '{text}'")
-            if tokens[i][0] == "op":
-                raise ModelFileError(
-                    f"misplaced '{tokens[i][1]}' in operator string '{text}'"
-                )
-            c, w = parse_factor()
+    for op, term in _chain(_parse(src, "operator string", text), (ast.Add, ast.Sub)):
+        sign = -1.0 if isinstance(op, ast.Sub) else 1.0
+        (_, first), *rest = _chain(term, ast.Mult)
+        while isinstance(first, ast.UnaryOp) and isinstance(first.op, (ast.UAdd, ast.USub)):
+            sign = -sign if isinstance(first.op, ast.USub) else sign
+            first = first.operand
+        coeff, word = complex(sign), ()
+        for factor in [first, *(f for _, f in rest)]:
+            try:
+                c, w = _factor(factor, src, text, modes, params)
+            except OverflowError:  # a power past the float range
+                raise ModelFileError(f"a factor overflows in operator string '{text}'") from None
             coeff *= c
             word += w
-        if i < n and tokens[i][0] == "op" and tokens[i][1] == "^":
-            raise ModelFileError(f"misplaced '^' in operator string '{text}'")
-        if i < n and tokens[i][0] != "op":
-            raise ModelFileError(
-                f"missing '*' before token '{tokens[i][1]}' in operator "
-                f"string '{text}'"
-            )
         terms.append((coeff, word))
     return PolyOperator(modes, terms)
 
 
-# ---------------------------------------------------------------------------
-# coefficients
-# ---------------------------------------------------------------------------
+def _chain(node, ops) -> list:
+    """(op before it or None, operand) of a left-nested ``ops`` chain."""
+    links = []
+    while isinstance(node, ast.BinOp) and isinstance(node.op, ops):
+        links.append((node.op, node.right))
+        node = node.left
+    return [(None, node), *reversed(links)]
+
+
+def _factor(node, src, text, modes, params):
+    """(coefficient, word) of one factor, its literals read as written in
+    ``src``: a number, ladder letter, id or parameter, with its power."""
+    power = 1
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+        digits = src[node.right.col_offset : node.right.end_col_offset]
+        if not (isinstance(node.right, ast.Constant) and digits.isdigit()):
+            raise ModelFileError(f"exponent must be a plain integer in '{text}'")
+        power, node = int(digits), node.left
+    token = src[node.col_offset : node.end_col_offset]
+    if isinstance(node, ast.Constant) and _NUMBER_RE.fullmatch(token):
+        return complex(token) ** power, ()
+    if isinstance(node, ast.Name):
+        if ladder := _LADDER_RE.fullmatch(token):
+            letter, dagger, index = ladder.groups()
+            mode = int(index) + (letter == "b")
+            if mode >= modes:
+                raise ModelFileError(
+                    f"token '{token}' addresses mode {mode} but the model has {modes}"
+                )
+            return 1.0, ((mode, dagger == "d"),) * power
+        if token == "id":
+            return 1.0, ()
+        if token in params:
+            return complex(params[token]) ** power, ()
+    raise ModelFileError(f"unknown token '{token}' in operator string '{text}'")
+
 
 _ALLOWED_FUNCS = {"sin": math.sin, "cos": math.cos, "exp": math.exp}
+_ARITHMETIC = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.UAdd, ast.USub)
 
 
 def _compile_expr(src: str, params: dict):
-    try:
-        tree = ast.parse(src, mode="eval")
-    except SyntaxError as exc:
-        raise ModelFileError(f"cannot parse coefficient expression '{src}'") from exc
-
-    def check(node):
-        if isinstance(node, ast.Expression):
-            check(node.body)
-        elif isinstance(node, ast.BinOp) and isinstance(
-            node.op, (ast.Add, ast.Sub, ast.Mult, ast.Div)
-        ):
-            check(node.left)
-            check(node.right)
-        elif isinstance(node, ast.UnaryOp) and isinstance(
-            node.op, (ast.USub, ast.UAdd)
-        ):
-            check(node.operand)
+    pending = [_parse(src, "coefficient expression")]
+    while pending:
+        node = pending.pop()
+        if isinstance(node, ast.BinOp) and isinstance(node.op, _ARITHMETIC):
+            pending += (node.left, node.right)
+        elif isinstance(node, ast.UnaryOp) and isinstance(node.op, _ARITHMETIC):
+            pending.append(node.operand)
         elif isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
             pass
         elif isinstance(node, ast.Name) and (node.id == "t" or node.id in params):
@@ -246,14 +244,14 @@ def _compile_expr(src: str, params: dict):
             and len(node.args) == 1
             and not node.keywords
         ):
-            check(node.args[0])
+            pending.append(node.args[0])
         else:
             raise ModelFileError(
                 f"coefficient expression '{src}' uses an unsupported construct"
             )
-
-    check(tree)
-    code = compile(tree, "<coefficient>", "eval")
+    # from the source, not the tree: compiling a tree validates it
+    # recursively, which fails near 1,000 terms where the parser does not
+    code = compile(src, "<coefficient>", "eval")
     env = dict(_ALLOWED_FUNCS)
     env.update(params)
 
@@ -268,25 +266,25 @@ def _compile_expr(src: str, params: dict):
     return fn
 
 
-def _coefficient_from_spec(spec, params: dict) -> CoefficientFn:
-    if isinstance(spec, (int, float)):
-        return CoefficientFn.constant(float(spec))
+def _coefficient_from_spec(spec, params: dict, where: str) -> CoefficientFn:
     if not isinstance(spec, dict):
-        raise ModelFileError(f"bad coefficient {spec!r}")
+        return CoefficientFn.constant(_number(where, spec))
     if "expr" in spec:
-        _check_keys(spec, {"expr", "sup", "dsup"}, "coeff")
-        fn = _compile_expr(spec["expr"], params)
+        _check_keys(spec, {"expr", "sup", "dsup"}, where)
+        expr = _text(f"{where}.expr", spec["expr"])
         return CoefficientFn(
-            fn=fn,
-            sup=float(spec["sup"]) if "sup" in spec else None,
-            dsup=float(spec["dsup"]) if "dsup" in spec else None,
-            label=spec["expr"],
+            fn=_compile_expr(expr, params),
+            sup=_number(f"{where}.sup", spec["sup"]) if "sup" in spec else None,
+            dsup=_number(f"{where}.dsup", spec["dsup"]) if "dsup" in spec else None,
+            label=expr,
         )
     if "table" in spec:
-        _check_keys(spec, {"table", "sup"}, "coeff")
-        rows = [(float(t), float(v)) for t, v in spec["table"]]
-        if not rows or rows[0][0] != 0.0:
-            raise ModelFileError("piecewise table must start at t = 0")
+        _check_keys(spec, {"table", "sup"}, where)
+        rows = _list(
+            f"{where}.table", spec["table"], lambda key, row: tuple(_list(key, row, _number))
+        )
+        if not rows or any(len(row) != 2 for row in rows) or rows[0][0] != 0.0:
+            raise ModelFileError(f"{where}.table must be [t, value] rows from t = 0")
         if any(b[0] <= a[0] for a, b in zip(rows, rows[1:])):
             raise ModelFileError("piecewise table times must increase")
 
@@ -299,16 +297,16 @@ def _coefficient_from_spec(spec, params: dict) -> CoefficientFn:
                     break
             return value
 
-        sup = float(spec["sup"]) if "sup" in spec else max(abs(v) for _, v in rows)
+        sup = _number(f"{where}.sup", spec.get("sup", max(abs(v) for _, v in rows)))
         # a step table is not C^1: no dsup, the Euler certificate stays off
         return CoefficientFn(fn=fn, sup=sup, dsup=None, label=f"table{rows!r}")
-    raise ModelFileError(f"bad coefficient {spec!r}")
+    raise ModelFileError(f"{where} needs a number, an 'expr' or a 'table', got {spec!r}")
 
 
-def _cosine_arg_from_spec(spec: dict, modes: int) -> PolyOperator:
-    _check_keys(spec, {"q", "p"}, "cosine")
-    q = [float(x) for x in spec.get("q", [0.0] * modes)]
-    p = [float(x) for x in spec.get("p", [0.0] * modes)]
+def _cosine_arg_from_spec(spec: dict, modes: int, where: str) -> PolyOperator:
+    _check_keys(spec, {"q", "p"}, where)
+    q = _list(f"{where}.q", spec.get("q", [0.0] * modes), _number)
+    p = _list(f"{where}.p", spec.get("p", [0.0] * modes), _number)
     if len(q) != modes or len(p) != modes:
         raise ModelFileError("cosine q/p coefficient lists must match the mode count")
     arg = PolyOperator(modes, [])
@@ -325,36 +323,10 @@ def _cosine_arg_from_spec(spec: dict, modes: int) -> PolyOperator:
 # ---------------------------------------------------------------------------
 
 
-def _number(key, raw):
-    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-        raise ModelFileError(f"solver.{key} must be a number, got {raw!r}")
-    return float(raw)
-
-
-def _integer(key, raw):
-    if isinstance(raw, bool) or not (
-        isinstance(raw, int) or (isinstance(raw, float) and raw.is_integer())
-    ):
-        raise ModelFileError(f"solver.{key} must be an integer, got {raw!r}")
-    return int(raw)
-
-
-def _flag(key, raw):
-    if not isinstance(raw, bool):
-        raise ModelFileError(f"solver.{key} must be true or false, got {raw!r}")
-    return raw
-
-
-def _text(key, raw):
-    if not isinstance(raw, str):
-        raise ModelFileError(f"solver.{key} must be a string, got {raw!r}")
-    return raw
-
-
 def _resize_step(key, raw):
     """A grow or shrink step; a rational string is taken exactly.  Its
     value is checked by SolverConfig."""
-    return Fraction(raw) if isinstance(raw, str) else raw
+    return _rational(key, raw) if isinstance(raw, str) else raw
 
 
 # solver-section key -> (SolverConfig field, check and conversion of its
@@ -400,35 +372,35 @@ class ModelFile:
             {"modes", "shape", "params", "hamiltonian", "dissipators", "initial", "solver"},
             "model file",
         )
-        if "modes" not in doc or "shape" not in doc:
-            raise ModelFileError("model file needs 'modes' and 'shape'")
-        modes = int(doc["modes"])
+        modes = _integer("modes", _required(doc, "modes", "model file"))
         ham = []
-        for term in doc.get("hamiltonian", []):
-            _check_keys(term, {"coeff", "op"}, "hamiltonian term")
-            if "op" not in term:
-                raise ModelFileError("hamiltonian term needs an 'op'")
-            ham.append({"coeff": term.get("coeff", 1.0), "op": term["op"]})
+        for i, term in enumerate(_list("hamiltonian", doc.get("hamiltonian", []))):
+            _check_keys(term, {"coeff", "op"}, f"hamiltonian[{i}]")
+            op = _required(term, "op", f"hamiltonian[{i}]")
+            ham.append({"coeff": term.get("coeff", 1.0), "op": op})
         diss = []
-        for term in doc.get("dissipators", []):
-            _check_keys(term, {"op", "gkp", "cosine"}, "dissipator")
-            if sum(k in term for k in ("op", "gkp", "cosine")) != 1:
+        for i, term in enumerate(_list("dissipators", doc.get("dissipators", []))):
+            _check_keys(term, {"op", "gkp", "cosine"}, f"dissipators[{i}]")
+            if len(term) != 1:
                 raise ModelFileError(
                     "each dissipator needs exactly one of op / gkp / cosine"
                 )
             diss.append(dict(term))
         initial = doc.get("initial", {"fock": [0] * modes})
         _check_keys(initial, {"fock", "file"}, "initial")
-        solver = dict(doc.get("solver", {}))
+        if len(initial) != 1:
+            raise ModelFileError("initial needs exactly one of fock / file")
+        params = _object("params", doc.get("params", {}))
+        solver = doc.get("solver", {})
         _check_keys(solver, {*_SOLVER_KEYS, "adaptive_space"}, "solver")
         return cls(
             modes=modes,
-            shape=dict(doc["shape"]),
-            params={k: float(v) for k, v in doc.get("params", {}).items()},
+            shape=dict(_object("shape", _required(doc, "shape", "model file"))),
+            params={k: _number(f"params.{k}", v) for k, v in params.items()},
             hamiltonian=tuple(ham),
             dissipators=tuple(diss),
             initial=dict(initial),
-            solver=solver,
+            solver=dict(solver),
         )
 
     @classmethod
@@ -441,8 +413,7 @@ class ModelFile:
 
     @classmethod
     def load(cls, path) -> "ModelFile":
-        with open(path) as fh:
-            return cls.from_json(fh.read())
+        return cls.from_dict(_read_json(path, "model file"))
 
     def to_dict(self) -> dict:
         return {
@@ -465,32 +436,36 @@ class ModelFile:
                 f"shape has {shape.mode_count} modes, file declares {self.modes}"
             )
         ham = []
-        for term in self.hamiltonian:
-            coeff = _coefficient_from_spec(term["coeff"], self.params)
+        for i, term in enumerate(self.hamiltonian):
+            where = f"hamiltonian[{i}]"
+            coeff = _coefficient_from_spec(term["coeff"], self.params, f"{where}.coeff")
             op = term["op"]
             if isinstance(op, str):
                 expr = PolyExpr(parse_poly_string(op, self.modes, self.params))
             elif isinstance(op, dict) and "cosine" in op:
-                _check_keys(op, {"cosine"}, "hamiltonian op")
-                expr = CosineExpr(_cosine_arg_from_spec(op["cosine"], self.modes))
+                _check_keys(op, {"cosine"}, f"{where}.op")
+                arg = _cosine_arg_from_spec(op["cosine"], self.modes, f"{where}.op.cosine")
+                expr = CosineExpr(arg)
             else:
-                raise ModelFileError(f"bad hamiltonian op {op!r}")
+                raise ModelFileError(
+                    f"{where}.op must be an operator string or a cosine object, got {op!r}"
+                )
             ham.append((coeff, expr))
         diss = []
-        for term in self.dissipators:
+        for i, term in enumerate(self.dissipators):
+            where = f"dissipators[{i}]"
             if "op" in term:
-                diss.append(
-                    PolyExpr(parse_poly_string(term["op"], self.modes, self.params))
-                )
+                op = _text(f"{where}.op", term["op"])
+                diss.append(PolyExpr(parse_poly_string(op, self.modes, self.params)))
             elif "gkp" in term:
-                g = term["gkp"]
+                g, at = term["gkp"], f"{where}.gkp."
                 _check_keys(g, {"A", "eta", "eps", "k"}, "gkp dissipator")
                 diss.append(
                     GkpDissipator(
-                        amplitude=float(g.get("A", 1.0)),
-                        eta=float(_required(g, "eta", "gkp dissipator")),
-                        eps=float(_required(g, "eps", "gkp dissipator")),
-                        sector=int(g.get("k", 0)),
+                        amplitude=_number(at + "A", g.get("A", 1.0)),
+                        eta=_number(at + "eta", _required(g, "eta", "gkp dissipator")),
+                        eps=_number(at + "eps", _required(g, "eps", "gkp dissipator")),
+                        sector=_integer(at + "k", g.get("k", 0)),
                     )
                 )
             else:
@@ -515,18 +490,14 @@ class ModelFile:
 
     def _build_initial(self, shape, base_dir) -> DenseOperator:
         if "fock" in self.initial:
-            from .operators import fock_density
-
-            state = [int(k) for k in self.initial["fock"]]
+            state = _list("initial.fock", self.initial["fock"], _integer)
             if len(state) != self.modes:
                 raise ModelFileError("initial fock index must have one entry per mode")
             if tuple(state) not in basis_map(shape).index:
                 raise ModelFileError(f"initial fock index {state} is not a state of {shape}")
             return fock_density(shape, state)
-        path = self.initial["file"]
+        path = _text("initial.file", self.initial["file"])
         if base_dir is not None:
-            import os
-
             path = os.path.join(base_dir, path)
         return load_state_json(path)
 
@@ -534,11 +505,11 @@ class ModelFile:
         if "T" not in self.solver:
             raise ModelFileError("solver section needs the final time 'T'")
         kwargs = {
-            name: convert(key, self.solver[key])
+            name: convert(f"solver.{key}", self.solver[key])
             for key, (name, convert) in _SOLVER_KEYS.items()
             if key in self.solver
         }
-        adaptive = _flag("adaptive_space", self.solver.get("adaptive_space", False))
+        adaptive = _flag("solver.adaptive_space", self.solver.get("adaptive_space", False))
         return SolverConfig(**kwargs), adaptive
 
 
@@ -547,28 +518,39 @@ class ModelFile:
 # ---------------------------------------------------------------------------
 
 
+def _read_json(path, what: str):
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ModelFileError(f"cannot read {what} {path}: {exc.strerror}") from None
+    except ValueError as exc:
+        raise ModelFileError(f"{what} {path} is not valid JSON: {exc}") from None
+
+
 def dump_state_json(op: DenseOperator, path) -> None:
     """Row-major flat [re, im] pairs with explicit dim and shape."""
-    data = [
-        [float(z.real), float(z.imag)] for z in op.matrix.reshape(-1)
-    ]
+    data = [[z.real, z.imag] for z in op.matrix.reshape(-1).tolist()]
     doc = {"dim": op.dim, "shape": shape_to_spec(op.shape), "data": data}
     with open(path, "w") as fh:
         json.dump(doc, fh)
 
 
 def load_state_json(path) -> DenseOperator:
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc = _read_json(path, "state file")
     _check_keys(doc, {"dim", "shape", "data"}, "state file")
     shape = shape_from_spec(_required(doc, "shape", "state file"))
-    d = int(_required(doc, "dim", "state file"))
+    d = _integer("state file dim", _required(doc, "dim", "state file"))
     if d != dimension(shape):
         raise ModelFileError("state file dim does not match its shape")
-    flat = np.array(
-        [complex(re, im) for re, im in _required(doc, "data", "state file")],
-        dtype=np.complex128,
-    )
-    if flat.size != d * d:
-        raise ModelFileError("state file data length does not match dim^2")
-    return DenseOperator(shape, flat.reshape(d, d))
+    data = _required(doc, "data", "state file")
+    try:
+        pairs = np.asarray(data)
+    except ValueError:  # ragged nesting
+        pairs = np.empty(0)
+    if pairs.dtype.kind not in "iuf" or pairs.shape != (d * d, 2):
+        raise ModelFileError(
+            f"state file data must be dim^2 = {d * d} pairs [re, im] of numbers"
+        )
+    # each row's (re, im) float64 pair is one complex128, as complex(re, im)
+    return DenseOperator(shape, pairs.astype(np.float64).view(np.complex128).reshape(d, d))

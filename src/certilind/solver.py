@@ -594,7 +594,10 @@ def _run(
             )
             t_next = t + step.dt
         h_next = step.h_next
-        rate = 0.0 if certificate else model_space_defect(model, t_next, step.rho_next)
+        if certificate:  # the rate at which the certified bound charges xi
+            rate = certificate[1] / step.dt
+        else:
+            rate = model_space_defect(model, t_next, step.rho_next)
         if resize and ledger.xi + step.dt * rate >= budget(t_next):
             # rejected: grow, then retake the step on the grown shape
             records.append(

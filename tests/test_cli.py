@@ -54,11 +54,13 @@ def cat_doc(cap=12, **solver):
     }
 
 
-def state_file_without(doc, tmp_path, key):
-    """Point ``doc`` at a state file of its shape that lacks ``key``."""
+def state_file(doc, tmp_path, drop=None, **values):
+    """Point ``doc`` at a state file of its shape, without the key
+    ``drop`` and with ``values`` set."""
     dump_state_json(fock_density(Rect(doc["shape"]["rect"]), [0]), tmp_path / "init.json")
     state = json.loads((tmp_path / "init.json").read_text())
-    del state[key]
+    state.pop(drop, None)
+    state.update(values)
     (tmp_path / "init.json").write_text(json.dumps(state))
     doc["initial"] = {"file": "init.json"}
 
@@ -78,6 +80,9 @@ def format_poly(poly: PolyOperator) -> str:
         if coeff.imag != 0.0:
             pieces.append(f"{coeff.imag!r}j*{letters}")
     return " + ".join(pieces).replace("+ -", "- ")
+
+
+A0, AD0 = ((0, False),), ((0, True),)
 
 
 class TestPolyGrammar:
@@ -117,6 +122,60 @@ class TestPolyGrammar:
     def test_bad_mode_index(self):
         with pytest.raises(ModelFileError, match="a3"):
             parse_poly_string("a3", 2, {})
+
+    @pytest.mark.parametrize(
+        "text, terms",
+        [
+            ("-2*a0", [(-2, A0)]),
+            ("- -a0", [(1, A0)]),
+            ("a0 - -a0", [(2, A0)]),
+            ("-a0^2", [(-1, A0 + A0)]),
+            ("2^3*a0", [(8, A0)]),
+            ("a0^0", [(1, ())]),
+            ("1.5e3j^2*ad0", [(-2.25e6, AD0)]),
+            ("alpha^3", [(3.375, ())]),
+            ("b0*bd0 - bd0", [(1, ((1, False), (1, True))), (-1, ((1, True),))]),
+            ("07*a0^02 + 0.50*ad0", [(7, A0 + A0), (0.5, AD0)]),
+        ],
+    )
+    def test_accepted_strings_and_their_terms(self, text, terms):
+        # terms in word order, each coefficient exactly as written
+        p = parse_poly_string(text, 2, {"alpha": 1.5})
+        assert p.terms == tuple((complex(c), w) for c, w in terms)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "a0**2",  # ^ is the one power syntax
+            "1_0*a0",  # digit groups: a parameter name may hold _, a number not
+            "(a0 + ad0)*a0",
+            "-(a0+ad0)",
+            "(a0)",
+            "2*-a0",  # a sign only before a term's first factor
+            "a0/2",
+            "True",
+            "a0^2.0",
+            "a0^-1",
+            "a0^2^3",
+            "0x10*a0",
+            "1J*a0",
+            "1e999*a0",  # once an OverflowError
+            "a0 # note",
+            "2 a0",
+            "a0 +",
+            "",
+        ],
+    )
+    def test_rejected_strings(self, text):
+        with pytest.raises(ModelFileError):
+            parse_poly_string(text, 1, {"alpha": 1.5})
+
+    def test_sum_past_the_parser_depth_is_a_model_error(self):
+        # Python's parser stops near 3,000 terms of one sum; the walk of
+        # the tree is a loop and adds no limit of its own
+        assert len(parse_poly_string(" + ".join(["a0"] * 1500), 1, {}).terms) == 1
+        with pytest.raises(ModelFileError, match="cannot parse operator string"):
+            parse_poly_string(" + ".join(["a0"] * 4000), 1, {})
 
     def test_format_roundtrip(self):
         p = parse_poly_string("0.5j*a0^2*ad1 - 3*id + alpha*a1", 2, {"alpha": 1.5})
@@ -247,6 +306,18 @@ class TestModelFile:
         with pytest.raises(ModelFileError):
             ModelFile.from_dict(doc).build()
 
+    def test_expr_coefficient_longer_than_the_recursion_limit(self):
+        # the check of the tree is a loop and the code is compiled from
+        # the source, so only the parser's depth bounds a sum
+        doc = {
+            "modes": 1,
+            "shape": {"rect": [6]},
+            "hamiltonian": [{"coeff": {"expr": " + ".join(["t"] * 1500)}, "op": "a0"}],
+            "solver": {"T": 0.1},
+        }
+        built = ModelFile.from_dict(doc).build()
+        assert built.model.hamiltonian[0][0](2.0) == 3000.0
+
     def test_table_coefficient(self):
         doc = {
             "modes": 1,
@@ -350,7 +421,7 @@ class TestCommands:
             ),
             *[
                 pytest.param(
-                    lambda doc, path, key=key: state_file_without(doc, path, key),
+                    lambda doc, path, key=key: state_file(doc, path, drop=key),
                     f"state file needs '{key}'",
                     id=f"state-{key}",
                 )
@@ -363,15 +434,80 @@ class TestCommands:
                 "coefficient expression '1/t' fails at t=0.0",
                 id="expr-1/t",
             ),
+            # wrong JSON types, each once a TypeError or AttributeError
+            pytest.param(
+                lambda doc, path: doc.update(shape={"rect": 5}),
+                "shape.rect must be a list, got 5",
+                id="rect-int",
+            ),
+            pytest.param(
+                lambda doc, path: doc.update(shape=5),
+                "shape must be an object, got 5",
+                id="shape-int",
+            ),
+            pytest.param(
+                lambda doc, path: doc.update(initial={"fock": 0}),
+                "initial.fock must be a list, got 0",
+                id="fock-int",
+            ),
+            pytest.param(
+                lambda doc, path: doc.update(modes=None),
+                "modes must be an integer, got None",
+                id="modes-null",
+            ),
+            pytest.param(
+                lambda doc, path: doc.update(params=[1]),
+                "params must be an object, got [1]",
+                id="params-list",
+            ),
+            pytest.param(
+                lambda doc, path: doc.update(params={"x": "1j"}),
+                "params.x must be a number, got '1j'",
+                id="param-string",
+            ),
+            pytest.param(
+                lambda doc, path: doc.update(hamiltonian=[5]),
+                "hamiltonian[0] must be an object, got 5",
+                id="hamiltonian-int",
+            ),
+            pytest.param(
+                lambda doc, path: doc.update(dissipators=[{"op": 5}]),
+                "dissipators[0].op must be a string, got 5",
+                id="op-int",
+            ),
+            pytest.param(
+                lambda doc, path: state_file(doc, path, data=[1, 2]),
+                "state file data must be dim^2 = 36 pairs [re, im] of numbers",
+                id="state-data-flat",
+            ),
+            # missing files, once a FileNotFoundError
+            pytest.param(
+                lambda doc, path: str(path / "absent.json"),
+                "absent.json: No such file or directory",
+                id="model-file-missing",
+            ),
+            pytest.param(
+                lambda doc, path: doc.update(initial={"file": "absent.json"}),
+                "absent.json: No such file or directory",
+                id="state-file-missing",
+            ),
+            # past the parser's depth, once a RecursionError
+            pytest.param(
+                lambda doc, path: doc.update(
+                    hamiltonian=[{"coeff": {"expr": " + ".join(["t"] * 4000)}, "op": "a0"}]
+                ),
+                "cannot parse coefficient expression 't + t + t",
+                id="expr-4000-terms",
+            ),
         ],
     )
     def test_malformed_model_file_exit_code_and_message(
         self, tmp_path, capsys, edit, message
     ):
-        # each once escaped cmd_simulate as a KeyError or ZeroDivisionError
+        # each once escaped cmd_simulate as a traceback; an edit may
+        # return the path to run in place of the model file it edits
         doc = cat_doc(cap=5)
-        edit(doc, tmp_path)
-        path = write_model(tmp_path, doc)
+        path = edit(doc, tmp_path) or write_model(tmp_path, doc)
         assert cmd_simulate(path, str(tmp_path / "out")) == 1
         err = capsys.readouterr().err
         assert err.count("certilind: error:") == 1
@@ -599,6 +735,25 @@ class TestPresetDefinitions:
             built.config.final_time, 2.0 / (0.15 * 2.0 * math.sqrt(math.pi))
         )
         assert np.isclose(built.config.dt, 5e-4 * built.config.final_time)
+
+
+@pytest.mark.parametrize("malformed", [False, True], ids=["missing", "malformed"])
+def test_entry_point_prints_no_traceback_for_user_input(tmp_path, malformed):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(certilind.__file__)))
+    path = tmp_path / "model.json"
+    if malformed:
+        path.write_text(json.dumps({**cat_doc(), "hamiltonian": [5]}))
+    out = subprocess.run(
+        [sys.executable, "-m", "certilind.cli", "simulate", str(path)],
+        env={**os.environ, "PYTHONPATH": src},
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+    )
+    assert out.returncode == 1
+    assert out.stderr.count("certilind: error:") == 1
+    assert "Traceback" not in out.stderr
+    assert ("hamiltonian[0]" if malformed else str(path)) in out.stderr
 
 
 def test_import_leaves_scipy_linear_algebra_unloaded():

@@ -290,6 +290,10 @@ class TestRunFixed:
         else:
             assert defect_times == times
             assert kinds == {"space_defect"}
+        # each row's rate is the one at which its step charged xi
+        xi_before = [0.0] + [r.xi for r in result.trajectory[:-1]]
+        for r, before in zip(result.trajectory, xi_before):
+            assert r.xi - before == pytest.approx(r.defect_rate * (t_final / n), rel=1e-12)
 
     def test_certificate_requires_fixed_scheme(self):
         with pytest.raises(SolverError):
