@@ -5,18 +5,20 @@ of a trace-norm defect, suitable for accumulation into the certified
 estimator xi.  Polynomial defects are computed exactly on margin-grown
 shapes.  Unitary-type content (the GKP stabilizers and cosine
 Hamiltonians) is bounded through ||P_perp W M||_1: W's exactly known
-rows past the shape, built and compressed once per shape into one
-factor whose dropped rows enter as a stated tail.  No route forms a
-Gram radicand.
+rows past the shape, compressed once per shape into one factor whose
+dropped rows enter as a stated tail.  No route forms a Gram radicand.
+Nothing here truncates an operator: every block is the one the
+generator's truncation reads (``lindblad._gkp_blocks``,
+``operators._cosine_tables``, the grown generator's jumps).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+from scipy import sparse
 
 from .fockspace import (
     DenseOperator,
@@ -24,32 +26,26 @@ from .fockspace import (
     _complement_indices,
     _embed_array,
     _embedding_indices,
-    _grow_by_margin,
-    basis_map,
     dimension,
     trace_norm,
 )
 from .lindblad import (
-    _I_POWERS,
     CoefficientFn,
     LindbladModel,
     ModelError,
-    _gkp_q_poly,
+    _gkp_blocks,
     _off_class_mask,
     _phase_conjugate,
-    _real_form,
     gauge_phases,
     grown_shape,
     shaped_generator,
-    truncated_expr,
 )
 from .operators import (
     PolyOperator,
+    _cosine_offband,
     _hermitian_eigvalsh,
     _hermitian_part,
-    _linear_qp_coefficients,
-    displacement_block,
-    materialize_poly,
+    materialize_poly,  # no caller here: the bench tracer rebinds this name
 )
 
 __all__ = [
@@ -71,9 +67,6 @@ LEDGER_KINDS = (
     "time_taylor",
     "time_euler",
 )
-
-VALUE_NEGATIVE_SLACK = -1e-12
-
 
 class EstimatorError(ValueError):
     """A certified quantity could not be produced."""
@@ -119,9 +112,7 @@ class EstimatorLedger:
             raise EstimatorError(f"unknown ledger kind {kind!r}")
         value = float(value)
         if value < 0.0:
-            if value < VALUE_NEGATIVE_SLACK:
-                raise EstimatorError(f"negative certified value {value!r}")
-            value = 0.0
+            raise EstimatorError(f"negative certified value {value!r}")
         log = self._log
         if self._count and time < log[self._count - 1].time:
             raise EstimatorError("ledger times must be non-decreasing")
@@ -161,11 +152,12 @@ class _DefectContext:
     With P the shape and P_perp the rest of the grown shape, the grown
     generator gives the off blocks and the outer block of D exactly.
     Its inner block is -(1/2)(B rho + rho B), B = sum_k C_k^dag C_k for
-    the boundary jumps C_k = P_perp Gamma_k P; when every C_k is zero,
-    so are both diagonal blocks, and ||D||_1 is twice the singular-value
-    sum of the off block.  B is real when the jumps are real or purely
-    imaginary (``_real_form``), so a real ``rho`` keeps every product and
-    the eigensolve real.
+    the boundary jumps C_k = P_perp Gamma_k P, read from the grown
+    generator's jumps; when every C_k is zero, so are both diagonal
+    blocks, and ||D||_1 is twice the singular-value sum of the off block.
+    The generator stores each jump in its real form when it has one, so B
+    is real then, and a real ``rho`` keeps every product and the
+    eigensolve real.
     """
 
     def __init__(self, model: LindbladModel, shape: TruncationShape):
@@ -175,9 +167,9 @@ class _DefectContext:
         self.gen_big = shaped_generator(model, big)
         self.dim_big = dimension(big)
         self.boundary = None  # B, None when every C_k is zero
-        for expr in model.dissipators:
-            c = truncated_expr(expr, big).matrix[np.ix_(self.perp, self.pos)]
-            c = _real_form(c)[0]
+        for _, g in self.gen_big.jumps:
+            c = g[self.perp][:, self.pos]
+            c = c.toarray() if sparse.issparse(c) else c
             if c.any():
                 b = c.conj().T @ c
                 self.boundary = b if self.boundary is None else self.boundary + b
@@ -237,26 +229,6 @@ def model_space_defect(model: LindbladModel, t: float, rho: DenseOperator) -> fl
 # ---------------------------------------------------------------------------
 
 
-def _offband_pad(beta: complex, top: int) -> int:
-    """The number of rows past level ``top`` over which the off band of
-    D(beta) restricted to levels n <= top is taken:
-    8 |beta| sqrt(top + 1) + 8 |beta|^2, at least 30.  Past them the
-    entries fall off faster than geometrically, far below the rounding
-    of the values kept."""
-    b = abs(beta)
-    return max(30, int(math.ceil(8.0 * b * math.sqrt(top + 1.0) + 8.0 * b**2)))
-
-
-def _sector1(block: np.ndarray, row0: int = 0) -> np.ndarray:
-    """R B R^dag for R = diag(i^n) and a block B whose rows start at
-    level ``row0`` and columns at level 0: entry (m, n) times i^(m - n),
-    exactly.  A float64 array when the product's imaginary part is exactly
-    zero, as for a block whose entries carry the phase i^(m - n)."""
-    levels = np.arange(row0, row0 + block.shape[0])[:, None] - np.arange(block.shape[1])
-    out = _I_POWERS[levels % 4] * block
-    return out if out.imag.any() else out.real
-
-
 def _compressed(factor: np.ndarray):
     """(S_r Vh_r, S_d Vh_d) from the SVD factor = W S Vh: the rows of the
     singular values above n eps sigma_max (n the column count), and of
@@ -284,8 +256,8 @@ class _GkpContext:
       t5 = A ||P_perp U^dag V rho||_1, the BCH companion term.
     Every off-block norm ||P_perp W M||_1 is taken from one factor, with
     no row split: F = P_perp U P_(N+1), the exact rows of U from N + 1
-    over the window of ``_offband_pad``, or, for U^dag = D(-beta) =
-    P D(beta) P (P the parity), the parity-flipped F.  F and t3's kernel
+    over the window of ``operators._offband_pad``, or, for
+    U^dag = D(-beta) = P D(beta) P (P the parity), the parity-flipped F.  F and t3's kernel
     are compressed once by one SVD each (``_compressed``): their kept
     rows are folded into the fixed left factors, and each dropped part
     enters as the explicit tail ||dropped left||_1 ||right||_2 ||rho||_F,
@@ -293,34 +265,17 @@ class _GkpContext:
     of rho is at most its Frobenius norm).  So one step takes one
     stacked product and four small SVDs, and no eigensolve.
 
-    The blocks are kept in the sector-1 frame, R B R^dag for
-    R = diag(i^n): entry (m, n) of U, Q and p carries the phase
-    i^(m - n), so every block is real there except V (q is imaginary).
-    Sector s is evaluated on R^(1-s) rho R^(s-1).
+    The blocks are those the generator's truncation reads
+    (``lindblad._gkp_blocks``), in the sector-1 frame R X R^dag for
+    R = diag(i^n), where every block is real except V.  Sector s is
+    evaluated on R^(1-s) rho R^(s-1).
     """
 
     def __init__(self, amplitude: float, eta: float, eps: float, shape: TruncationShape):
-        if shape.mode_count != 1:
-            raise EstimatorError("GKP bound requires a single-mode shape")
+        f, q, v, qdq, b = _gkp_blocks(amplitude, eta, eps, shape)
         d = self.dim = dimension(shape)
         self.shape = shape
         self.amplitude = amplitude
-        g1 = _grow_by_margin(shape, (1,))
-        g2 = _grow_by_margin(shape, (2,))
-        beta = 1j * eta / math.sqrt(2.0)
-        table = displacement_block(d + 1 + _offband_pad(beta, d), d + 1, beta)
-        u = _sector1(table[:d])  # P_N U P_(N+1)
-        f = _sector1(table[d:], row0=d)  # F
-        q_poly = _gkp_q_poly(amplitude, eps)
-        q = _sector1(materialize_poly(q_poly, g1).matrix[:, :d])  # P_(N+1) Q P_N
-        v_poly = (
-            PolyOperator.identity(1)
-            - eps * PolyOperator.momentum(1, 0)
-            - eps * eta * PolyOperator.position(1, 0)
-        )
-        v = _sector1(materialize_poly(v_poly, g1).matrix[:, :d])
-        qdq = _sector1(materialize_poly(q_poly.dag() * q_poly, g2).matrix[:, :d])
-        b = u @ q
         bdb = b.conj().T @ b
         self.t1_kernel = np.ascontiguousarray((q.conj().T @ q - bdb).T)
         self.b_adj = np.ascontiguousarray(b.conj().T)
@@ -370,26 +325,9 @@ def _gkp_context(
 def _cosine_factor(arg: PolyOperator, shape: TruncationShape):
     """The compressed off band of cos O for a real q/p combination O:
     (S_r Vh_r, ||S_d Vh_d||_1) of ``_compressed`` on the exact rows of
-    P_perp cos(O) P_N over the window of ``_offband_pad`` past each mode's
-    top level.
-
-    U = exp(iO) is the product of one displacement per mode, and
-    U^dag = P U P for the total parity P, so cos O = (U + U^dag)/2 equals
-    U on the entries (m, n) with |m| + |n| even and is zero elsewhere."""
-    c, d = _linear_qp_coefficients(arg)
-    betas = (1j * c - d) / math.sqrt(2.0)
-    cols = np.array(basis_map(shape).states, dtype=np.intp).reshape(-1, len(betas))
-    tops = [int(n) for n in cols.max(axis=0)]
-    sizes = tuple(n + 1 + _offband_pad(b, n) for b, n in zip(betas, tops))
-    outside = np.ones(math.prod(sizes), dtype=bool)
-    outside[np.ravel_multi_index(tuple(cols.T), sizes)] = False
-    rows = np.unravel_index(np.flatnonzero(outside), sizes)
-    band = np.ones((rows[0].size, cols.shape[0]), dtype=np.complex128)
-    for j, beta in enumerate(betas):
-        table = displacement_block(sizes[j], tops[j] + 1, beta)
-        band *= table[np.ix_(rows[j], cols[:, j])]
-    band[(sum(rows)[:, None] + cols.sum(axis=1)) % 2 == 1] = 0.0
-    kept, dropped = _compressed(band)
+    P_perp cos(O) P_N that ``operators._cosine_offband`` reads from the
+    tables of the truncation itself."""
+    kept, dropped = _compressed(_cosine_offband(arg, shape))
     kept.setflags(write=False)
     return kept, trace_norm(dropped)
 

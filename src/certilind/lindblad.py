@@ -25,16 +25,15 @@ from scipy import sparse
 from .fockspace import (
     DenseOperator,
     TruncationShape,
-    _embedding_indices,
     _grow_by_margin,
     basis_map,
     dimension,
-    grow,
 )
 from .operators import (
     PolyOperator,
-    _displacement_table,
+    _offband_pad,
     cosine_of,
+    displacement_block,
     materialize_poly,
 )
 
@@ -133,13 +132,11 @@ class LindbladModel:
     mode_count: int
     hamiltonian: tuple[tuple[CoefficientFn, OperatorExpr], ...] = ()
     dissipators: tuple[OperatorExpr, ...] = ()
-    parameters: tuple[tuple[str, float], ...] = ()
 
-    def __init__(self, mode_count, hamiltonian=(), dissipators=(), parameters=()):
+    def __init__(self, mode_count, hamiltonian=(), dissipators=()):
         object.__setattr__(self, "mode_count", int(mode_count))
         object.__setattr__(self, "hamiltonian", tuple(hamiltonian))
         object.__setattr__(self, "dissipators", tuple(dissipators))
-        object.__setattr__(self, "parameters", tuple(parameters))
         object.__setattr__(self, "kind", self._classify())
 
     def _classify(self) -> str:
@@ -297,7 +294,6 @@ def gauged_model(model: LindbladModel, exponents: tuple[int, ...]) -> LindbladMo
         model.mode_count,
         hamiltonian=[(coeff, phased(expr)) for coeff, expr in model.hamiltonian],
         dissipators=[phased(expr) for expr in model.dissipators],
-        parameters=model.parameters,
     )
 
 
@@ -331,9 +327,10 @@ def _gkp_q_poly(amplitude: float, eps: float) -> PolyOperator:
 
 
 def _single_mode_caps(shape: TruncationShape) -> np.ndarray:
-    if shape.mode_count != 1:
-        raise ModelError("GKP expressions require a single-mode shape")
-    return basis_map(shape).occupations(0)
+    occ = basis_map(shape).occupations(0)
+    if shape.mode_count != 1 or not np.array_equal(occ, np.arange(len(occ))):
+        raise ModelError("GKP expressions require a single-mode shape with levels 0..N")
+    return occ
 
 
 @lru_cache(maxsize=64)
@@ -349,26 +346,60 @@ def _off_class_mask(shape: TruncationShape) -> np.ndarray:
     return mask
 
 
-@lru_cache(maxsize=256)
+def _sector1(block: np.ndarray, row0: int = 0) -> np.ndarray:
+    """R B R^dag for R = diag(i^n) and a block B whose rows start at
+    level ``row0`` and columns at level 0: entry (m, n) times i^(m - n),
+    exactly.  A float64 array when the product's imaginary part is exactly
+    zero, as for a block whose entries carry the phase i^(m - n)."""
+    levels = np.arange(row0, row0 + block.shape[0])[:, None] - np.arange(block.shape[1])
+    out = _I_POWERS[levels % 4] * block
+    return out if out.imag.any() else out.real
+
+
+class _GkpBlocks(NamedTuple):
+    """The exact sector-1 blocks of one (A, eta, eps) (``_gkp_blocks``)."""
+
+    f: np.ndarray  # F = P_perp U P_(N+1), the rows of U from N + 1
+    q: np.ndarray  # P_(N+1) Q P_N
+    v: np.ndarray  # P_(N+1) V P_N, complex
+    qdq: np.ndarray  # P_(N+2) Q^dag Q P_N
+    b: np.ndarray  # B = P_N U Q P_N = (P_N U P_(N+1)) (P_(N+1) Q P_N)
+
+
+@lru_cache(maxsize=32)
+def _gkp_blocks(amplitude: float, eta: float, eps: float, shape: TruncationShape) -> _GkpBlocks:
+    """The exact blocks on the levels 0..N of Gamma = U Q - Id
+    (U = exp(i eta q), Q = A (Id - eps p)) and of V = Id - eps p - eps eta q
+    that the generator and the stabilizer bound read, all from one
+    ``displacement_block`` table whose rows reach ``_offband_pad`` past
+    level N + 1.  Each block is R X R^dag for R = diag(i^n)
+    (``_sector1``): entry (m, n) of U, Q and p carries the phase
+    i^(m - n), so every block is real there except V (q is imaginary),
+    and B - Id is Gamma_1, the sector-1 truncation."""
+    d = len(_single_mode_caps(shape))
+    beta = 1j * eta / math.sqrt(2.0)
+    table = displacement_block(d + 1 + _offband_pad(beta, d), d + 1, beta)
+    q_poly = _gkp_q_poly(amplitude, eps)
+    p, x = PolyOperator.momentum(1, 0), PolyOperator.position(1, 0)
+    v_poly = PolyOperator.identity(1) - eps * p - eps * eta * x
+
+    def block(poly, margin):
+        """P_(N+margin) poly P_N, exact."""
+        return _sector1(materialize_poly(poly, _grow_by_margin(shape, (margin,))).matrix[:, :d])
+
+    q = block(q_poly, 1)
+    f, b = _sector1(table[d:], row0=d), _sector1(table[:d]) @ q
+    return _GkpBlocks(f, q, block(v_poly, 1), block(q_poly.dag() * q_poly, 2), b)
+
+
 def _gkp_truncated_gamma(
     amplitude: float, eta: float, eps: float, sector: int, shape: TruncationShape
 ) -> DenseOperator:
-    """Exact P (R^k Gamma_0 R^-k) P via a one-step margin for the degree-1
-    polynomial factor; sector k > 0 is sector 0's matrix conjugated by
-    the exact phases R^k."""
-    if sector:
-        gamma0 = _gkp_truncated_gamma(amplitude, eta, eps, 0, shape).matrix
-        return DenseOperator(
-            shape, _phase_conjugate(gamma0, gauge_phases(shape, (sector,)))
-        )
-    occ = _single_mode_caps(shape)
-    big = grow(shape, 1)
-    occ_big = basis_map(big).occupations(0)
-    beta = 1j * eta / math.sqrt(2.0)
-    u_block = _displacement_table(occ, occ_big, beta)  # P U P_(N+1)
-    q_big = materialize_poly(_gkp_q_poly(amplitude, eps), big).matrix
-    uq = u_block @ q_big[:, _embedding_indices(shape, big)]  # P U Q P, exact
-    return DenseOperator(shape, uq - np.eye(len(occ)))
+    """Exact P (R^k Gamma_0 R^-k) P = R^(k-1) Gamma_1 R^(1-k), with
+    Gamma_1 = B - Id from ``_gkp_blocks`` and the exact phases R^(k-1)."""
+    gamma1 = _gkp_blocks(amplitude, eta, eps, shape).b - np.eye(dimension(shape))
+    phases = gauge_phases(shape, ((sector - 1) % 4,))
+    return DenseOperator(shape, _phase_conjugate(gamma1, phases))
 
 
 def truncated_expr(expr: OperatorExpr, shape: TruncationShape) -> DenseOperator:

@@ -141,13 +141,18 @@ def shape_to_spec(shape: TruncationShape) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _quoted(text: str) -> str:
+    """``text`` quoted for a model error; past 60 characters, its start and its length."""
+    return f"'{text}'" if len(text) <= 60 else f"'{text[:60]}...' ({len(text):,} characters)"
+
+
 def _parse(src: str, what: str, shown: str | None = None) -> ast.expr:
     """The tree of ``src`` by Python's parser; a string it cannot parse,
     or nested past its depth limit, is a model error quoting ``shown``."""
     try:
         return ast.parse(src, mode="eval").body
     except (SyntaxError, RecursionError):
-        raise ModelFileError(f"cannot parse {what} '{shown or src}'") from None
+        raise ModelFileError(f"cannot parse {what} {_quoted(shown or src)}") from None
 
 
 _OUTSIDE_GRAMMAR = re.compile(r"[^A-Za-z0-9_\s.*^+-]|\*\*")
@@ -162,7 +167,7 @@ def parse_poly_string(text: str, modes: int, params: dict) -> PolyOperator:
     factor.  A coefficient is complex(sign) times each factor's value."""
     bad = _OUTSIDE_GRAMMAR.search(text)
     if bad:
-        raise ModelFileError(f"unknown token '{bad.group()}' in operator string '{text}'")
+        raise ModelFileError(f"unknown token '{bad.group()}' in operator string {_quoted(text)}")
     # Python's reader takes neither ^ nor an integer with a leading zero
     src = _LEADING_ZEROS.sub("", " ".join(text.split()).replace("^", "**"))
     terms = []
@@ -177,7 +182,9 @@ def parse_poly_string(text: str, modes: int, params: dict) -> PolyOperator:
             try:
                 c, w = _factor(factor, src, text, modes, params)
             except OverflowError:  # a power past the float range
-                raise ModelFileError(f"a factor overflows in operator string '{text}'") from None
+                raise ModelFileError(
+                    f"a factor overflows in operator string {_quoted(text)}"
+                ) from None
             coeff *= c
             word += w
         terms.append((coeff, word))
@@ -200,7 +207,7 @@ def _factor(node, src, text, modes, params):
     if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
         digits = src[node.right.col_offset : node.right.end_col_offset]
         if not (isinstance(node.right, ast.Constant) and digits.isdigit()):
-            raise ModelFileError(f"exponent must be a plain integer in '{text}'")
+            raise ModelFileError(f"exponent must be a plain integer in {_quoted(text)}")
         power, node = int(digits), node.left
     token = src[node.col_offset : node.end_col_offset]
     if isinstance(node, ast.Constant) and _NUMBER_RE.fullmatch(token):
@@ -211,14 +218,14 @@ def _factor(node, src, text, modes, params):
             mode = int(index) + (letter == "b")
             if mode >= modes:
                 raise ModelFileError(
-                    f"token '{token}' addresses mode {mode} but the model has {modes}"
+                    f"token {_quoted(token)} addresses mode {mode} but the model has {modes}"
                 )
             return 1.0, ((mode, dagger == "d"),) * power
         if token == "id":
             return 1.0, ()
         if token in params:
             return complex(params[token]) ** power, ()
-    raise ModelFileError(f"unknown token '{token}' in operator string '{text}'")
+    raise ModelFileError(f"unknown token {_quoted(token)} in operator string {_quoted(text)}")
 
 
 _ALLOWED_FUNCS = {"sin": math.sin, "cos": math.cos, "exp": math.exp}
@@ -247,7 +254,7 @@ def _compile_expr(src: str, params: dict):
             pending.append(node.args[0])
         else:
             raise ModelFileError(
-                f"coefficient expression '{src}' uses an unsupported construct"
+                f"coefficient expression {_quoted(src)} uses an unsupported construct"
             )
     # from the source, not the tree: compiling a tree validates it
     # recursively, which fails near 1,000 terms where the parser does not
@@ -260,7 +267,7 @@ def _compile_expr(src: str, params: dict):
             return float(eval(code, {"__builtins__": {}}, {**env, "t": t}))
         except ArithmeticError as exc:
             raise ModelFileError(
-                f"coefficient expression '{src}' fails at t={t!r}: {exc}"
+                f"coefficient expression {_quoted(src)} fails at t={t!r}: {exc}"
             ) from None
 
     return fn
@@ -404,14 +411,6 @@ class ModelFile:
         )
 
     @classmethod
-    def from_json(cls, text: str) -> "ModelFile":
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ModelFileError(f"not valid JSON: {exc}") from exc
-        return cls.from_dict(doc)
-
-    @classmethod
     def load(cls, path) -> "ModelFile":
         return cls.from_dict(_read_json(path, "model file"))
 
@@ -477,7 +476,6 @@ class ModelFile:
             self.modes,
             hamiltonian=tuple(ham),
             dissipators=tuple(diss),
-            parameters=tuple(sorted(self.params.items())),
         )
         initial = self._build_initial(shape, base_dir)
         config, adaptive = self._build_config()

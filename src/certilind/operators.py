@@ -293,21 +293,22 @@ def displacement_block(rows: int, cols: int, beta: complex) -> np.ndarray:
     return out
 
 
+def _offband_pad(beta: complex, top: int) -> int:
+    """The number of rows past level ``top`` over which the off band of
+    D(beta) restricted to levels n <= top is taken:
+    8 |beta| sqrt(top + 1) + 8 |beta|^2, at least 30.  Past them the
+    entries fall off faster than geometrically, far below the rounding
+    of the values kept."""
+    b = abs(beta)
+    return max(30, int(math.ceil(8.0 * b * math.sqrt(top + 1.0) + 8.0 * b**2)))
+
+
 def _stable_product(logpref: np.ndarray, lag: np.ndarray) -> np.ndarray:
     """exp(logpref) * lag evaluated in log space to dodge under/overflow."""
     vals = np.zeros_like(lag)
     nz = lag != 0.0
     vals[nz] = np.sign(lag[nz]) * np.exp(logpref[nz] + np.log(np.abs(lag[nz])))
     return vals
-
-
-def _displacement_table(
-    occ_rows: np.ndarray, occ_cols: np.ndarray, beta: complex
-) -> np.ndarray:
-    """<m|D(beta)|n> for the single-mode occupations m in ``occ_rows``
-    and n in ``occ_cols``."""
-    table = displacement_block(int(occ_rows.max()) + 1, int(occ_cols.max()) + 1, beta)
-    return table[np.ix_(occ_rows, occ_cols)]
 
 
 # ---------------------------------------------------------------------------
@@ -342,23 +343,52 @@ def _linear_qp_coefficients(arg: PolyOperator) -> tuple[np.ndarray, np.ndarray]:
     return c, d
 
 
-def _tensor_displacement(
-    shape: TruncationShape, betas: Sequence[complex]
-) -> np.ndarray:
-    bm = basis_map(shape)
-    d = len(bm.states)
-    out = np.ones((d, d), dtype=np.complex128)
-    for mode, beta in enumerate(betas):
-        occ = bm.occupations(mode)
-        out *= _displacement_table(occ, occ, beta)
+@lru_cache(maxsize=64)
+def _cosine_tables(arg: PolyOperator, shape: TruncationShape):
+    """(states, tables) of cos O on a shape, for O a real q/p combination:
+    the shape's basis as an occupation array, and per mode j the table
+    <m|D(beta_j)|n> of U = exp(iO) = prod_j D(beta_j) over the levels n up
+    to the mode's top level N_j and m up to ``_offband_pad`` past it."""
+    c, d = _linear_qp_coefficients(arg)
+    betas = (1j * c - d) / math.sqrt(2.0)
+    states = np.array(basis_map(shape).states, dtype=np.intp).reshape(-1, len(betas))
+    tables = tuple(
+        displacement_block(n + 1 + _offband_pad(beta, n), n + 1, beta)
+        for beta, n in zip(betas, states.max(axis=0).tolist())
+    )
+    for array in (states, *tables):
+        array.setflags(write=False)
+    return states, tables
+
+
+def _tensor_entries(tables, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Entries <m|U|n> of U = prod_j D(beta_j) from its per-mode tables,
+    for the occupation arrays ``rows`` (m) and ``cols`` (n)."""
+    out = np.ones((len(rows), len(cols)), dtype=np.complex128)
+    for j, table in enumerate(tables):
+        out *= table[np.ix_(rows[:, j], cols[:, j])]
     return out
 
 
 def cosine_of(arg: PolyOperator, shape: TruncationShape) -> DenseOperator:
     """Exact truncation of cos(O) = (U + U^dag)/2 with U = exp(iO)."""
-    c, d = _linear_qp_coefficients(arg)
-    u = _tensor_displacement(shape, (1j * c - d) / math.sqrt(2.0))
-    return DenseOperator(shape, _hermitian_part(u))
+    states, tables = _cosine_tables(arg, shape)
+    return DenseOperator(shape, _hermitian_part(_tensor_entries(tables, states, states)))
+
+
+def _cosine_offband(arg: PolyOperator, shape: TruncationShape) -> np.ndarray:
+    """P_perp cos(O) P_N over the rows of the level tuples past the shape
+    that the tables of ``_cosine_tables`` reach.  U^dag = P U P for the
+    total parity P, so cos O = (U + U^dag)/2 equals U on the entries
+    (m, n) with |m| + |n| even and is zero elsewhere."""
+    states, tables = _cosine_tables(arg, shape)
+    sizes = tuple(table.shape[0] for table in tables)
+    outside = np.ones(math.prod(sizes), dtype=bool)
+    outside[np.ravel_multi_index(tuple(states.T), sizes)] = False
+    rows = np.stack(np.unravel_index(np.flatnonzero(outside), sizes), axis=1)
+    band = _tensor_entries(tables, rows, states)
+    band[(rows.sum(axis=1)[:, None] + states.sum(axis=1)) % 2 == 1] = 0.0
+    return band
 
 
 # ---------------------------------------------------------------------------

@@ -72,22 +72,14 @@ def linear_drive_model(coeff: CoefficientFn | float = 1.0) -> LindbladModel:
 def cat_model(alpha: float = 1.0) -> LindbladModel:
     """Two-photon pumping toward coherent superpositions: Gamma = a^2 - alpha^2."""
     gamma = _a() * _a() - _id(c=alpha**2)
-    return LindbladModel(
-        1,
-        dissipators=(PolyExpr(gamma),),
-        parameters=(("alpha", float(alpha)),),
-    )
+    return LindbladModel(1, dissipators=(PolyExpr(gamma),))
 
 
 def squeezed_cat_model(alpha: float = 1.0, r: float = 1.25) -> LindbladModel:
     """Gamma = (ch(r) a + sh(r) a^dag)^2 - alpha^2."""
     s = math.cosh(r) * _a() + math.sinh(r) * _ad()
     gamma = s * s - _id(c=alpha**2)
-    return LindbladModel(
-        1,
-        dissipators=(PolyExpr(gamma),),
-        parameters=(("alpha", float(alpha)), ("r", float(r))),
-    )
+    return LindbladModel(1, dissipators=(PolyExpr(gamma),))
 
 
 def cat_buffer_model(
@@ -105,22 +97,15 @@ def cat_buffer_model(
     b, bd = _a(2, 1), _ad(2, 1)
     exchange = a * a * bd + ad * ad * b
     ham = []
-    params = []
     if drive is None:
         if alpha is None:
             raise ValueError("need alpha or drive")
         full = exchange - alpha**2 * (b + bd)
         ham.append((CoefficientFn.constant(1.0), PolyExpr(full)))
-        params.append(("alpha", float(alpha)))
     else:
         ham.append((CoefficientFn.constant(1.0), PolyExpr(exchange)))
         ham.append((drive, PolyExpr(-1.0 * (b + bd))))
-    return LindbladModel(
-        2,
-        hamiltonian=tuple(ham),
-        dissipators=(PolyExpr(b),),
-        parameters=tuple(params),
-    )
+    return LindbladModel(2, hamiltonian=tuple(ham), dissipators=(PolyExpr(b),))
 
 
 def gkp_model(amplitude: float = 1.0, eta: float | None = None, eps: float = 0.15) -> LindbladModel:
@@ -128,11 +113,7 @@ def gkp_model(amplitude: float = 1.0, eta: float | None = None, eps: float = 0.1
     if eta is None:
         eta = 2.0 * math.sqrt(math.pi)
     diss = tuple(GkpDissipator(amplitude, eta, eps, sector=k) for k in range(4))
-    return LindbladModel(
-        1,
-        dissipators=diss,
-        parameters=(("A", float(amplitude)), ("eta", float(eta)), ("eps", float(eps))),
-    )
+    return LindbladModel(1, dissipators=diss)
 
 
 def gkp_terms_model(*terms) -> LindbladModel:

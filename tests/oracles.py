@@ -9,9 +9,10 @@ Each is written independently of the route the program takes, so the
 tests can hold the program to it.  ``unitary_offblock_norm`` is the
 truncated-unitary norm identity in its Gram form, with its PSD guard
 ``tr_sqrt_psd``, which the unitary-lemma tests compare with enlarged
-oracles; ``displacement_q`` and ``cosine_unitary_pair`` are exact
-truncations of displacements, and ``cosine_radicand`` is the Gram
-radicand of the cosine defect; ``gkp_bound_oracle`` is the stabilizer
+oracles; ``displacement_q``, ``cosine_unitary_pair`` and
+``_tensor_displacement`` are exact truncations of displacements, each
+from tables over the shape's own levels, and ``cosine_radicand`` is
+the Gram radicand of the cosine defect; ``gkp_bound_oracle`` is the stabilizer
 bound with every off-block norm taken from the full, uncompressed rows
 of U.
 """
@@ -40,10 +41,8 @@ from certilind.lindblad import _gkp_q_poly, shaped_generator, truncated_expr
 from certilind.operators import (
     OperatorError,
     PolyOperator,
-    _displacement_table,
     _hermitian_eigvalsh,
     _linear_qp_coefficients,
-    _tensor_displacement,
     displacement_block,
     materialize_poly,
 )
@@ -81,6 +80,25 @@ def tr_sqrt_psd(mat: np.ndarray) -> float:
             f"radicand eigenvalue {eigs.min():.3e} below tolerance"
         )
     return float(np.sqrt(np.clip(eigs, 0.0, None)).sum())
+
+
+def _displacement_table(occ_rows: np.ndarray, occ_cols: np.ndarray, beta: complex) -> np.ndarray:
+    """<m|D(beta)|n> for the single-mode occupations m in ``occ_rows``
+    and n in ``occ_cols``."""
+    table = displacement_block(int(occ_rows.max()) + 1, int(occ_cols.max()) + 1, beta)
+    return table[np.ix_(occ_rows, occ_cols)]
+
+
+def _tensor_displacement(shape: TruncationShape, betas) -> np.ndarray:
+    """The truncation of prod_j D(beta_j) to a shape, one table per mode
+    over the shape's own levels."""
+    bm = basis_map(shape)
+    d = len(bm.states)
+    out = np.ones((d, d), dtype=np.complex128)
+    for mode, beta in enumerate(betas):
+        occ = bm.occupations(mode)
+        out *= _displacement_table(occ, occ, beta)
+    return out
 
 
 @lru_cache(maxsize=256)

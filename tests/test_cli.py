@@ -174,8 +174,12 @@ class TestPolyGrammar:
         # Python's parser stops near 3,000 terms of one sum; the walk of
         # the tree is a loop and adds no limit of its own
         assert len(parse_poly_string(" + ".join(["a0"] * 1500), 1, {}).terms) == 1
-        with pytest.raises(ModelFileError, match="cannot parse operator string"):
-            parse_poly_string(" + ".join(["a0"] * 4000), 1, {})
+        text = " + ".join(["a0"] * 4000)
+        with pytest.raises(ModelFileError, match="cannot parse operator string") as err:
+            parse_poly_string(text, 1, {})
+        # the message quotes the start of the string and its length
+        assert len(str(err.value)) < 200
+        assert f"({len(text):,} characters)" in str(err.value)
 
     def test_format_roundtrip(self):
         p = parse_poly_string("0.5j*a0^2*ad1 - 3*id + alpha*a1", 2, {"alpha": 1.5})
@@ -209,7 +213,7 @@ class TestShapeSpec:
 class TestModelFile:
     def test_roundtrip_identical(self):
         mf = ModelFile.from_dict(cat_doc())
-        again = ModelFile.from_json(mf.to_json())
+        again = ModelFile.from_dict(json.loads(mf.to_json()))
         assert again == mf
 
     def test_build_produces_expected_model(self):
@@ -513,6 +517,20 @@ class TestCommands:
         assert err.count("certilind: error:") == 1
         assert message in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("where", ["coeff", "op"])
+    def test_overlong_sum_error_is_one_short_line(self, tmp_path, capsys, where):
+        # a 4,000-term sum is past the parser's depth; the error quotes
+        # the start of the string and its length, not all 16 KB of it
+        doc = cat_doc(cap=5)
+        text = " + ".join(["t" if where == "coeff" else "a0"] * 4000)
+        term = {"coeff": {"expr": text}, "op": "a0"} if where == "coeff" else {"op": text}
+        doc["hamiltonian"] = [term]
+        assert cmd_simulate(write_model(tmp_path, doc), str(tmp_path / "out")) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("certilind: error: cannot parse")
+        assert len(line) < 200
+        assert f"({len(text):,} characters)" in line
 
     def test_certification_failure_exit_code(self, tmp_path):
         doc = cat_doc(cap=6)

@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from certilind import estimators
+from certilind import estimators, lindblad, operators
 from certilind.estimators import (
     EstimatorError,
     EstimatorLedger,
@@ -36,6 +36,7 @@ from certilind.lindblad import (
 from models import (
     cat_buffer_model,
     cat_model,
+    cosine_hamiltonian_model,
     gkp_model,
     gkp_terms_model,
     linear_drive_model,
@@ -84,6 +85,45 @@ def decaying_density(rng, dim):
     return rho / np.trace(rho).real
 
 
+@pytest.fixture
+def table_calls(monkeypatch):
+    """The arguments of every ``displacement_block`` call, from each
+    module that looks the name up."""
+    calls = []
+    block = operators.displacement_block
+
+    def counting_block(*args):
+        calls.append(args)
+        return block(*args)
+
+    for module in (operators, lindblad, estimators):
+        if hasattr(module, "displacement_block"):
+            monkeypatch.setattr(module, "displacement_block", counting_block)
+    return calls
+
+
+class TestOneTablePerShape:
+    """The generator and the certified bound read one truncation: on a
+    fresh shape, building both takes one displacement table per (beta,
+    shape)."""
+
+    def test_gkp_generator_and_defect(self, table_calls):
+        model = gkp_model(0.9, 2.1, 0.2)  # parameters no other test uses
+        shape = Rect([17])
+        shaped_generator(model, shape)
+        assert len(table_calls) == 1
+        model_space_defect(model, 0.0, fock_density(shape, [0]))
+        assert len(table_calls) == 1
+
+    def test_cosine_generator_and_defect(self, table_calls):
+        model = cosine_hamiltonian_model([0.7, 0.3], [0.0, 0.5])
+        shape = Rect([9, 7])
+        shaped_generator(model, shape)
+        assert len(table_calls) == 2  # one per mode
+        model_space_defect(model, 0.0, fock_density(shape, [1, 0]))
+        assert len(table_calls) == 2
+
+
 def exact_displacement_big(n_small, n_big, eta):
     """<m|exp(i eta q)|n> on a large rectangle, exact closed form."""
     return displacement_block(n_big + 1, n_big + 1, 1j * eta / math.sqrt(2.0))
@@ -115,8 +155,11 @@ class TestLedger:
             xi_step(led, 0.1, 1.0, 0.1)
 
     def test_negative_value_rejected(self):
-        with pytest.raises(EstimatorError):
-            EstimatorLedger.empty().record(0.0, "space_defect", -1.0)
+        # every certified value is a sum of nonnegative terms, so a value
+        # below zero, however small, is a fault and is not clipped
+        for value in (-1.0, -1e-13):
+            with pytest.raises(EstimatorError):
+                EstimatorLedger.empty().record(0.0, "space_defect", value)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(EstimatorError):
@@ -524,23 +567,16 @@ class TestCosineDefect:
         assert brute > 1e-3
         assert abs(val - brute) < 1e-9
 
-    def test_second_call_builds_no_table(self, monkeypatch):
-        calls = []
-        block = estimators.displacement_block
-
-        def counting_block(*args):
-            calls.append(args)
-            return block(*args)
-
-        monkeypatch.setattr(estimators, "displacement_block", counting_block)
+    def test_second_call_builds_no_table(self, table_calls):
+        operators._cosine_tables.cache_clear()
         estimators._cosine_factor.cache_clear()
         rng = np.random.default_rng(127)
         rho = DenseOperator(Rect([6, 3]), random_density(rng, 28))
         arg = 0.9 * PolyOperator.position(2, 0) + 0.4 * PolyOperator.position(2, 1)
         first = cosine_defect(arg, rho)
-        assert len(calls) == 2  # one table per mode
+        assert len(table_calls) == 2  # one table per mode
         assert cosine_defect(arg, rho) == first
-        assert len(calls) == 2
+        assert len(table_calls) == 2
 
     def test_compression_stays_within_its_tail(self, monkeypatch):
         # a small argument on a tall shape: the band's smallest singular

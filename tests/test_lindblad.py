@@ -327,6 +327,15 @@ class TestModelValidation:
         out = apply_truncated(model, 0.0, rho)
         assert abs(out.trace()) < 1e-10
 
+    @pytest.mark.parametrize(
+        "shape", [Rect([4, 4]), Sector(Rect([12]), (2,), (0,))], ids=["two-mode", "parity"]
+    )
+    def test_gkp_truncation_needs_levels_0_to_n(self, shape):
+        # the GKP blocks are read from tables over the levels 0..N, so a
+        # shape with other levels is refused, not truncated wrongly
+        with pytest.raises(ModelError):
+            truncated_expr(GkpDissipator(1.0, ETA, 0.15, 1), shape)
+
 
 
 PARITY_PRESETS = ["adaptive1d", "adaptive2d", "exampleC", "exampleD", "exampleE"]

@@ -22,12 +22,14 @@ from certilind.operators import (
     OperatorError,
     PolyOperator,
     _hermitian_part,
+    _linear_qp_coefficients,
     cosine_of,
     displacement_block,
     fock_density,
     materialize_poly,
 )
 from oracles import (
+    _tensor_displacement,
     cosine_unitary_pair,
     displacement_block_loop,
     displacement_q,
@@ -410,6 +412,24 @@ class TestCosine:
         u_big = expm(1j * (0.5 * q0.matrix + 0.25 * p1.matrix))
         sub = [basis_map(big).index[s] for s in basis_map(shape).states]
         assert np.max(np.abs(u.matrix - u_big[np.ix_(sub, sub)])) < 1e-9
+
+    @pytest.mark.parametrize(
+        "shape",
+        [Rect([10]), Rect([40]), Rect([8, 6]), Rect([12, 12]), WeightedTotal(["1/2", "1"], "6")],
+        ids=str,
+    )
+    def test_bit_for_bit_with_tables_over_the_shape(self, shape):
+        # the truncation reads tables whose rows reach past the shape, as
+        # the defect's off band needs; inside the shape they give the
+        # entries of tables over the shape's own levels, zero signs included
+        if shape.mode_count == 1:
+            arg = 1.3 * PolyOperator.position(1, 0) + 0.4 * PolyOperator.momentum(1, 0)
+        else:
+            arg = 0.9 * PolyOperator.position(2, 0) + 0.4 * PolyOperator.position(2, 1)
+            arg = arg + 0.7 * PolyOperator.momentum(2, 1)
+        c, d = _linear_qp_coefficients(arg)
+        u = _tensor_displacement(shape, (1j * c - d) / math.sqrt(2.0))
+        assert cosine_of(arg, shape).matrix.tobytes() == _hermitian_part(u).tobytes()
 
     def test_rejects_nonlinear_argument(self):
         a = PolyOperator.annihilator(1, 0)
