@@ -18,15 +18,16 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, replace
-from fractions import Fraction
 
-from .fockspace import Rect, WeightedTotal, contains, dimension, embed, trace_norm
+from .fockspace import contains, dimension, embed, trace_norm
 from .lindblad import ModelError
 from .modelfile import (
     BuiltModel,
     ModelFile,
     ModelFileError,
+    _quoted,
     dump_state_json,
+    shape_from_spec,
     shape_to_spec,
 )
 from .operators import OperatorError
@@ -132,26 +133,41 @@ def cmd_simulate(model_path, out_dir=None, space_tol=None, time_tol=None) -> int
     return 0
 
 
-def _parse_shape_item(item: str, base_shape):
-    item = item.strip()
-    if isinstance(base_shape, Rect):
-        caps = [int(tok) for tok in item.split("x")]
-        if len(caps) != base_shape.mode_count:
-            raise ModelFileError(
-                f"shape item '{item}' needs {base_shape.mode_count} cap(s), "
-                "joined with 'x'"
-            )
-        return Rect(caps)
-    return WeightedTotal(base_shape.weights, Fraction(item))
+def _sweep_shape(item: str, base):
+    """The shape of one --shapes item, of the model's kind of shape:
+    whole caps joined with 'x' on a Rect ("12x6"), one rational cap on a
+    WeightedTotal ("9/2")."""
+    item, spec = item.strip(), shape_to_spec(base)
+    rect = "rect" in spec
+    try:
+        if rect:
+            spec["rect"] = [int(tok) for tok in item.split("x")]
+        else:
+            spec["weighted"]["cap"] = item
+        shape = shape_from_spec(spec)
+        if shape.mode_count == base.mode_count:
+            return shape
+    except ValueError:
+        pass
+    what = f"{base.mode_count} whole cap(s) joined with 'x'" if rect else "one rational cap"
+    raise ModelFileError(f"shape item {_quoted(item)} is not {what}, each at least 0")
+
+
+def _sweep_fields(shape) -> tuple[str, list[str], list[str]]:
+    """(file label, CSV columns, CSV values) of a sweep shape."""
+    spec = shape_to_spec(shape)
+    if "rect" in spec:
+        caps = [str(c) for c in spec["rect"]]
+        return "x".join(caps), [f"N{j + 1}" for j in range(len(caps))], caps
+    cap = spec["weighted"]["cap"]
+    return cap.replace("/", "_"), ["cap"], [cap]
 
 
 def cmd_sweep(model_path, shapes, out_dir=None, jobs=1) -> int:
     try:
         mf = ModelFile.load(model_path)
         built = mf.build(base_dir=os.path.dirname(os.path.abspath(model_path)))
-        points = [_parse_shape_item(s, built.shape) for s in shapes.split(",")]
-        if not points:
-            raise ModelFileError("empty --shapes list")
+        points = [_sweep_shape(s, built.shape) for s in shapes.split(",")]
         ref_shape = max(points, key=dimension)
         for p in points:
             if not contains(p, ref_shape):
@@ -166,7 +182,7 @@ def cmd_sweep(model_path, shapes, out_dir=None, jobs=1) -> int:
 
     def one_point(shape):
         result = run_fixed(built.model, built.initial, shape, built.config)
-        label = _shape_label(shape)
+        label = _sweep_fields(shape)[0]
         _write_text(
             os.path.join(out_dir, f"point_{label}.json"),
             json.dumps({"shape": shape_to_spec(shape), "xi": result.xi}),
@@ -191,35 +207,15 @@ def cmd_sweep(model_path, shapes, out_dir=None, jobs=1) -> int:
     def write_rows(path):
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(_shape_columns(built.shape) + ["xi_T", "dist_to_ref"])
+            writer.writerow(_sweep_fields(ref_shape)[1] + ["xi_T", "dist_to_ref"])
             for shape, result in outcomes:
                 emb = embed(result.final.rho, ref_shape)
                 dist = trace_norm(emb.matrix - ref_mat)
-                writer.writerow(
-                    _shape_values(shape) + [repr(result.xi), repr(dist)]
-                )
+                writer.writerow(_sweep_fields(shape)[2] + [repr(result.xi), repr(dist)])
 
     _atomic_write(os.path.join(out_dir, "error_vs_N.csv"), write_rows)
     print(f"sweep: {len(outcomes)} points -> {os.path.join(out_dir, 'error_vs_N.csv')}")
     return 0
-
-
-def _shape_label(shape) -> str:
-    if isinstance(shape, Rect):
-        return "x".join(str(c) for c in shape.caps)
-    return str(shape.cap).replace("/", "_")
-
-
-def _shape_columns(shape) -> list[str]:
-    if isinstance(shape, Rect):
-        return [f"N{j + 1}" for j in range(shape.mode_count)]
-    return ["cap"]
-
-
-def _shape_values(shape) -> list:
-    if isinstance(shape, Rect):
-        return [str(c) for c in shape.caps]
-    return [str(shape.cap)]
 
 
 def cmd_reproduce(preset: str, out_dir=None) -> int:

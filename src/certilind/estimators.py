@@ -145,6 +145,13 @@ def _hermitian_trace_norm(mat: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _grown_generator(model: LindbladModel, shape: TruncationShape, k: int = 1):
+    """The generator on the shape grown by k margins, and the positions
+    of the shape's basis states in it."""
+    big = grown_shape(model, shape, factor=k)
+    return shaped_generator(model, big), _embedding_indices(shape, big)
+
+
 class _DefectContext:
     """The defect D = (L - L_N) rho of a polynomial model, from one
     application of the generator on the margin-grown shape.
@@ -161,11 +168,9 @@ class _DefectContext:
     """
 
     def __init__(self, model: LindbladModel, shape: TruncationShape):
-        big = grown_shape(model, shape)
-        self.pos = _embedding_indices(shape, big)
-        self.perp = _complement_indices(shape, big)
-        self.gen_big = shaped_generator(model, big)
-        self.dim_big = dimension(big)
+        self.gen_big, self.pos = _grown_generator(model, shape)
+        self.perp = _complement_indices(shape, self.gen_big.shape)
+        self.dim_big = self.gen_big.dim
         self.boundary = None  # B, None when every C_k is zero
         for _, g in self.gen_big.jumps:
             c = g[self.perp][:, self.pos]
@@ -367,10 +372,8 @@ def taylor_step_bound(
     if not model.is_time_invariant:
         raise ModelError("the Taylor bound requires a time-invariant model")
     shape = rho.shape
-    big = grown_shape(model, shape, factor=k + 1)
-    pos = _embedding_indices(shape, big)
-    dim_big = dimension(big)
-    gen_big = shaped_generator(model, big)
+    gen_big, pos = _grown_generator(model, shape, k + 1)
+    dim_big = gen_big.dim
     gen_small = shaped_generator(model, shape)
 
     mismatch = np.zeros((dim_big, dim_big), dtype=np.complex128)
@@ -433,9 +436,9 @@ def euler_timedep_step_bound(
                 "by the Euler certificate"
             )
     shape = rho.shape
-    big = grown_shape(model, shape, factor=2)
-    pos = _embedding_indices(shape, big)
-    emb = _embed_array(np.asarray(rho.matrix), pos, dimension(big))
+    gen_big, pos = _grown_generator(model, shape, 2)
+    big = gen_big.shape
+    emb = _embed_array(np.asarray(rho.matrix), pos, gen_big.dim)
     varying, invariant = _euler_sub_models(model)
     varying = [(coeff, shaped_generator(sub, big)) for coeff, sub in varying]
 
@@ -446,7 +449,7 @@ def euler_timedep_step_bound(
 
     # L(t_n, rho), exact; its Hermitian part, because the generators
     # below take their products from one side
-    m = _hermitian_part(shaped_generator(model, big).apply(t_n, emb))
+    m = _hermitian_part(gen_big.apply(t_n, emb))
     # sup_s ||L(s, M)||: the time-invariant part is a single exact norm,
     # time-dependent terms enter through their declared sup bounds
     second = 0.0

@@ -72,9 +72,6 @@ class Rect:
     def mode_count(self) -> int:
         return len(self.caps)
 
-    def admits(self, state: tuple[int, ...]) -> bool:
-        return all(0 <= k <= c for k, c in zip(state, self.caps))
-
     def grade(self, state: tuple[int, ...]):
         return sum(state)
 
@@ -105,9 +102,6 @@ class WeightedTotal:
     @property
     def mode_count(self) -> int:
         return len(self.weights)
-
-    def admits(self, state: tuple[int, ...]) -> bool:
-        return sum(w * k for w, k in zip(self.weights, state)) <= self.cap
 
     def grade(self, state: tuple[int, ...]):
         return sum(w * k for w, k in zip(self.weights, state))
@@ -153,9 +147,6 @@ class Sector:
 
     def in_sector(self, state: tuple[int, ...]) -> bool:
         return charge_residues(self.moduli, state) == self.residues
-
-    def admits(self, state: tuple[int, ...]) -> bool:
-        return self.base.admits(state) and self.in_sector(state)
 
     def grade(self, state: tuple[int, ...]):
         return self.base.grade(state)
@@ -226,7 +217,11 @@ def contains(shape_small: TruncationShape, shape_big: TruncationShape) -> bool:
         raise ShapeError(
             f"mode-count mismatch: {shape_small.mode_count} vs {shape_big.mode_count}"
         )
-    return all(shape_big.admits(s) for s in basis_map(shape_small).states)
+    try:
+        _embedding_indices(shape_small, shape_big)
+    except ShapeError:
+        return False
+    return True
 
 
 @lru_cache(maxsize=None)
@@ -274,10 +269,6 @@ class DenseOperator:
         arr.setflags(write=False)
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "matrix", arr)
-
-    @classmethod
-    def identity(cls, shape: TruncationShape) -> "DenseOperator":
-        return cls(shape, np.eye(dimension(shape), dtype=np.complex128))
 
     @property
     def dim(self) -> int:
@@ -412,9 +403,7 @@ def _grow_by_margin(shape: TruncationShape, margin: Sequence[int]) -> Truncation
     margin = tuple(int(m) for m in margin)
     if all(m == 0 for m in margin):
         return shape
-    if isinstance(shape, Sector):
-        return shape.with_base(_grow_by_margin(shape.base, margin))
-    if isinstance(shape, Rect):
-        return grow(shape, margin)
-    inc = sum(w * m for w, m in zip(shape.weights, margin))
-    return grow(shape, inc)
+    base = base_shape(shape)
+    if isinstance(base, WeightedTotal):
+        return grow(shape, sum(w * m for w, m in zip(base.weights, margin)))
+    return grow(shape, margin)

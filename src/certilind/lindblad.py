@@ -495,7 +495,7 @@ class _ShapedGenerator:
             else:
                 self.varying.append((coeff, factor, h))
         self.a = a
-        self.orbits = _rotation_orbits(model, shape, a, self.use_sparse)
+        self.orbits = _rotation_orbits(model, shape, a, self.jumps)
         self.dtype = np.result_type(
             np.float64,
             a.dtype,
@@ -552,9 +552,10 @@ class _OrbitForm(NamedTuple):
     jumps: list  # (4 m, Gamma_1), real
 
 
-def _rotation_orbits(model: LindbladModel, shape: TruncationShape, a, use_sparse: bool):
+def _rotation_orbits(model: LindbladModel, shape: TruncationShape, a, jumps):
     """The real orbit form of a GKP model whose dissipators form full
-    rotation orbits, else None.
+    rotation orbits, from the generator's stored ``a`` and ``jumps``, else
+    None.
 
     Full orbits: every (A, eta, eps) appears in each sector 0..3 equally
     often, m times.  The model is then its own R-gauge (R = diag(i^n)
@@ -563,30 +564,27 @@ def _rotation_orbits(model: LindbladModel, shape: TruncationShape, a, use_sparse
     k represents it.  Entry (m, n) of Gamma_0 carries the phase
     i^(m - n), so sector 1's truncation Gamma_1 = R Gamma_0 R^dag is
     real exactly, and so is K = sum_k Gamma_k^dag Gamma_k, which
-    commutes with R.  Both are tested exactly, on the dense matrices,
-    before any sparse conversion; the form is None if either is not real.
+    commutes with R.  Both are tested exactly where they are stored (a
+    CSR matrix's ``data``); the form is None if either is not real.
     """
     if model.kind != "gkp":
         return None
     counts: dict[tuple, list[int]] = {}
-    for expr in model.dissipators:
+    sector1 = {}  # the stored Gamma_1 of each (A, eta, eps)
+    for expr, (_, g) in zip(model.dissipators, jumps):
         key = (expr.amplitude, expr.eta, expr.eps)
         counts.setdefault(key, [0, 0, 0, 0])[expr.sector] += 1
+        if expr.sector == 1:
+            sector1[key] = g
     if any(min(c) != max(c) for c in counts.values()):
         return None
-    a = a.toarray() if use_sparse else a
-    jumps = [
-        (4.0 * c[0], truncated_expr(GkpDissipator(*key, sector=1), shape).matrix)
-        for key, c in counts.items()
-    ]
-    if any(m.imag.any() for m in [a] + [g for _, g in jumps]):
+    if any((m.data if sparse.issparse(m) else m).imag.any() for m in [a, *sector1.values()]):
         return None
-
-    def stored(mat):
-        return sparse.csr_matrix(mat.real) if use_sparse else np.ascontiguousarray(mat.real)
-
+    # copied, so that a CSR matrix's data is contiguous as well
     return _OrbitForm(
-        _off_class_mask(shape), stored(a), [(w, stored(g)) for w, g in jumps]
+        _off_class_mask(shape),
+        a.real.copy(),
+        [(4.0 * c[0], sector1[key].real.copy()) for key, c in counts.items()],
     )
 
 

@@ -48,7 +48,7 @@ class ModelFileError(ValueError):
 
 def _object(key, raw) -> dict:
     if not isinstance(raw, dict):
-        raise ModelFileError(f"{key} must be an object, got {raw!r}")
+        raise ModelFileError(f"{key} must be an object, got {_quoted(repr(raw), '')}")
     return raw
 
 
@@ -71,7 +71,7 @@ def _required(obj: dict, key: str, where: str):
 
 def _number(key, raw):
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-        raise ModelFileError(f"{key} must be a number, got {raw!r}")
+        raise ModelFileError(f"{key} must be a number, got {_quoted(repr(raw), '')}")
     return float(raw)
 
 
@@ -79,19 +79,19 @@ def _integer(key, raw):
     if isinstance(raw, float) and raw.is_integer():
         raw = int(raw)
     if isinstance(raw, bool) or not isinstance(raw, int):
-        raise ModelFileError(f"{key} must be an integer, got {raw!r}")
+        raise ModelFileError(f"{key} must be an integer, got {_quoted(repr(raw), '')}")
     return raw
 
 
 def _flag(key, raw):
     if not isinstance(raw, bool):
-        raise ModelFileError(f"{key} must be true or false, got {raw!r}")
+        raise ModelFileError(f"{key} must be true or false, got {_quoted(repr(raw), '')}")
     return raw
 
 
 def _text(key, raw):
     if not isinstance(raw, str):
-        raise ModelFileError(f"{key} must be a string, got {raw!r}")
+        raise ModelFileError(f"{key} must be a string, got {_quoted(repr(raw), '')}")
     return raw
 
 
@@ -102,13 +102,15 @@ def _rational(key, raw):
             return Fraction(str(raw))
         except (ValueError, ZeroDivisionError):
             pass
-    raise ModelFileError(f"{key} must be a number or a rational string, got {raw!r}")
+    raise ModelFileError(
+        f"{key} must be a number or a rational string, got {_quoted(repr(raw), '')}"
+    )
 
 
 def _list(key, raw, item=lambda key, x: x) -> list:
     """A JSON list, each entry checked by ``item``."""
     if not isinstance(raw, (list, tuple)):
-        raise ModelFileError(f"{key} must be a list, got {raw!r}")
+        raise ModelFileError(f"{key} must be a list, got {_quoted(repr(raw), '')}")
     return [item(f"{key}[{i}]", x) for i, x in enumerate(raw)]
 
 
@@ -141,9 +143,11 @@ def shape_to_spec(shape: TruncationShape) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _quoted(text: str) -> str:
+def _quoted(text: str, quote: str = "'") -> str:
     """``text`` quoted for a model error; past 60 characters, its start and its length."""
-    return f"'{text}'" if len(text) <= 60 else f"'{text[:60]}...' ({len(text):,} characters)"
+    if len(text) <= 60:
+        return f"{quote}{text}{quote}"
+    return f"{quote}{text[:60]}...{quote} ({len(text):,} characters)"
 
 
 def _parse(src: str, what: str, shown: str | None = None) -> ast.expr:
@@ -307,7 +311,9 @@ def _coefficient_from_spec(spec, params: dict, where: str) -> CoefficientFn:
         sup = _number(f"{where}.sup", spec.get("sup", max(abs(v) for _, v in rows)))
         # a step table is not C^1: no dsup, the Euler certificate stays off
         return CoefficientFn(fn=fn, sup=sup, dsup=None, label=f"table{rows!r}")
-    raise ModelFileError(f"{where} needs a number, an 'expr' or a 'table', got {spec!r}")
+    raise ModelFileError(
+        f"{where} needs a number, an 'expr' or a 'table', got {_quoted(repr(spec), '')}"
+    )
 
 
 def _cosine_arg_from_spec(spec: dict, modes: int, where: str) -> PolyOperator:
@@ -447,7 +453,8 @@ class ModelFile:
                 expr = CosineExpr(arg)
             else:
                 raise ModelFileError(
-                    f"{where}.op must be an operator string or a cosine object, got {op!r}"
+                    f"{where}.op must be an operator string or a cosine object, "
+                    f"got {_quoted(repr(op), '')}"
                 )
             ham.append((coeff, expr))
         diss = []

@@ -74,14 +74,6 @@ class PolyOperator:
 
     # -- constructors ------------------------------------------------
     @classmethod
-    def annihilator(cls, mode_count: int, mode: int) -> "PolyOperator":
-        return cls(mode_count, [(1.0, ((mode, False),))])
-
-    @classmethod
-    def creator(cls, mode_count: int, mode: int) -> "PolyOperator":
-        return cls(mode_count, [(1.0, ((mode, True),))])
-
-    @classmethod
     def identity(cls, mode_count: int, coeff: complex = 1.0) -> "PolyOperator":
         return cls(mode_count, [(coeff, ())])
 
@@ -129,10 +121,6 @@ class PolyOperator:
         return PolyOperator(self.mode_count, terms)
 
     # -- degree bookkeeping -------------------------------------------
-    @property
-    def degree(self) -> int:
-        return max((len(w) for _, w in self.terms), default=0)
-
     def per_mode_degree(self) -> tuple[int, ...]:
         deg = [0] * self.mode_count
         for _, word in self.terms:

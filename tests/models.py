@@ -9,6 +9,9 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
+from certilind.fockspace import DenseOperator, dimension
 from certilind.lindblad import (
     CoefficientFn,
     CosineExpr,
@@ -28,15 +31,25 @@ __all__ = [
     "gkp_terms_model",
     "cosine_hamiltonian_model",
     "word_poly",
+    "annihilator",
+    "creator",
+    "dense_identity",
 ]
 
 
-def _a(m=1, mode=0):
-    return PolyOperator.annihilator(m, mode)
+def annihilator(mode_count: int = 1, mode: int = 0) -> PolyOperator:
+    """The ladder letter a of ``mode``."""
+    return PolyOperator(mode_count, [(1.0, ((mode, False),))])
 
 
-def _ad(m=1, mode=0):
-    return PolyOperator.creator(m, mode)
+def creator(mode_count: int = 1, mode: int = 0) -> PolyOperator:
+    """The ladder letter a^dag of ``mode``."""
+    return PolyOperator(mode_count, [(1.0, ((mode, True),))])
+
+
+def dense_identity(shape) -> DenseOperator:
+    """The complex identity over the basis of a shape."""
+    return DenseOperator(shape, np.eye(dimension(shape), dtype=np.complex128))
 
 
 def _id(m=1, c=1.0):
@@ -57,8 +70,8 @@ def number_drive_model(coeff: CoefficientFn | float = 1.0) -> LindbladModel:
         coeff = CoefficientFn.constant(coeff)
     return LindbladModel(
         1,
-        hamiltonian=((coeff, PolyExpr(_ad() * _a())),),
-        dissipators=(PolyExpr(_a()),),
+        hamiltonian=((coeff, PolyExpr(creator() * annihilator())),),
+        dissipators=(PolyExpr(annihilator()),),
     )
 
 
@@ -66,18 +79,18 @@ def linear_drive_model(coeff: CoefficientFn | float = 1.0) -> LindbladModel:
     """H = u(t) (a + a^dag), no dissipation."""
     if not isinstance(coeff, CoefficientFn):
         coeff = CoefficientFn.constant(coeff)
-    return LindbladModel(1, hamiltonian=((coeff, PolyExpr(_a() + _ad())),))
+    return LindbladModel(1, hamiltonian=((coeff, PolyExpr(annihilator() + creator())),))
 
 
 def cat_model(alpha: float = 1.0) -> LindbladModel:
     """Two-photon pumping toward coherent superpositions: Gamma = a^2 - alpha^2."""
-    gamma = _a() * _a() - _id(c=alpha**2)
+    gamma = annihilator() * annihilator() - _id(c=alpha**2)
     return LindbladModel(1, dissipators=(PolyExpr(gamma),))
 
 
 def squeezed_cat_model(alpha: float = 1.0, r: float = 1.25) -> LindbladModel:
     """Gamma = (ch(r) a + sh(r) a^dag)^2 - alpha^2."""
-    s = math.cosh(r) * _a() + math.sinh(r) * _ad()
+    s = math.cosh(r) * annihilator() + math.sinh(r) * creator()
     gamma = s * s - _id(c=alpha**2)
     return LindbladModel(1, dissipators=(PolyExpr(gamma),))
 
@@ -93,8 +106,8 @@ def cat_buffer_model(
     into the exchange part plus a time-dependent -alpha(t)^2 (b + b^dag)
     drive, with ``drive`` supplying alpha(t)^2 and its bounds.
     """
-    a, ad = _a(2, 0), _ad(2, 0)
-    b, bd = _a(2, 1), _ad(2, 1)
+    a, ad = annihilator(2, 0), creator(2, 0)
+    b, bd = annihilator(2, 1), creator(2, 1)
     exchange = a * a * bd + ad * ad * b
     ham = []
     if drive is None:

@@ -19,8 +19,10 @@ from certilind.estimators import (
 from certilind.fockspace import DenseOperator, Rect, embed, trace_norm
 from certilind.lindblad import truncated_expr
 from models import (
+    annihilator,
     cat_buffer_model,
     cat_model,
+    creator,
     gkp_model,
     linear_drive_model,
     number_drive_model,
@@ -261,7 +263,7 @@ def test_criterion_04_two_mode_certification():
 def test_criterion_05_closed_form_equivalence():
     t0 = time.time()
     rng = np.random.default_rng(42)
-    a = PolyOperator.annihilator(1, 0)
+    a = annihilator(1, 0)
     cat_gamma = a * a - PolyOperator.identity(1)
     squeezed = squeezed_cat_model(alpha=1.0, r=1.25)
     squeezed_gamma = squeezed.dissipators[0].poly
@@ -443,8 +445,8 @@ def test_criterion_09_time_certificates():
 def test_criterion_10_contraction_property():
     t0 = time.time()
     rng = np.random.default_rng(46)
-    a = PolyOperator.annihilator(1, 0)
-    ad = PolyOperator.creator(1, 0)
+    a = annihilator(1, 0)
+    ad = creator(1, 0)
     checked = 0
     while checked < 50:
         dim = int(rng.integers(2, 9))

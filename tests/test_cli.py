@@ -518,17 +518,27 @@ class TestCommands:
         assert message in err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("where", ["coeff", "op"])
+    @pytest.mark.parametrize("where", ["coeff", "op", "modes", "table"])
     def test_overlong_sum_error_is_one_short_line(self, tmp_path, capsys, where):
-        # a 4,000-term sum is past the parser's depth; the error quotes
-        # the start of the string and its length, not all 16 KB of it
+        # a 4,000-term sum is past the parser's depth, and a 5,000-entry
+        # list or a 20,000-character string is not of its key's type; the
+        # error quotes the start of the value and its length, not all of it
         doc = cat_doc(cap=5)
-        text = " + ".join(["t" if where == "coeff" else "a0"] * 4000)
-        term = {"coeff": {"expr": text}, "op": "a0"} if where == "coeff" else {"op": text}
-        doc["hamiltonian"] = [term]
+        if where == "modes":
+            doc["modes"] = [0] * 5000
+            text, start = repr(doc["modes"]), "modes must be an integer"
+        elif where == "table":
+            text = "1" * 20000
+            doc["hamiltonian"] = [{"coeff": {"table": text}, "op": "a0"}]
+            text, start = repr(text), "hamiltonian[0].coeff.table must be a list"
+        else:
+            text = " + ".join(["t" if where == "coeff" else "a0"] * 4000)
+            term = {"coeff": {"expr": text}, "op": "a0"} if where == "coeff" else {"op": text}
+            doc["hamiltonian"] = [term]
+            start = "cannot parse"
         assert cmd_simulate(write_model(tmp_path, doc), str(tmp_path / "out")) == 1
         (line,) = capsys.readouterr().err.splitlines()
-        assert line.startswith("certilind: error: cannot parse")
+        assert line.startswith(f"certilind: error: {start}")
         assert len(line) < 200
         assert f"({len(text):,} characters)" in line
 
@@ -580,6 +590,32 @@ class TestCommands:
         doc["initial"] = {"fock": [0, 0]}
         path = write_model(tmp_path, doc)
         assert cmd_sweep(path, "6x2,2x6", str(tmp_path / "out")) == 1
+
+    def test_weighted_sweep_columns_and_labels(self, tmp_path):
+        doc = cat_doc()
+        doc["shape"] = {"weighted": {"w": ["1/2"], "cap": "6"}}
+        out = tmp_path / "sweep"
+        assert cmd_sweep(write_model(tmp_path, doc), "9/2, 6", str(out)) == 0
+        rows = (out / "error_vs_N.csv").read_text().splitlines()
+        assert rows[0] == "cap,xi_T,dist_to_ref"
+        assert [row.split(",")[0] for row in rows[1:]] == ["9/2", "6"]
+        point = json.loads((out / "point_9_2.json").read_text())
+        assert point["shape"] == {"weighted": {"w": ["1/2"], "cap": "9/2"}}
+        assert (out / "point_6.json").exists()
+
+    @pytest.mark.parametrize(
+        "weighted, shapes, item",
+        [(True, "1/0", "1/0"), (False, "4x", "4x"), (False, "3,", ""), (False, "4,,6", "")],
+    )
+    def test_bad_sweep_item_is_one_error_line(self, tmp_path, capsys, weighted, shapes, item):
+        # '1/0' once raised ZeroDivisionError, and an empty cap printed
+        # int()'s "invalid literal" message without the item
+        doc = cat_doc()
+        if weighted:
+            doc["shape"] = {"weighted": {"w": ["1/2"], "cap": "6"}}
+        assert cmd_sweep(write_model(tmp_path, doc), shapes, str(tmp_path / "out")) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"certilind: error: shape item '{item}' is not ")
 
     def test_initial_from_file(self, tmp_path):
         from certilind.fockspace import DenseOperator
@@ -755,14 +791,18 @@ class TestPresetDefinitions:
         assert np.isclose(built.config.dt, 5e-4 * built.config.final_time)
 
 
-@pytest.mark.parametrize("malformed", [False, True], ids=["missing", "malformed"])
-def test_entry_point_prints_no_traceback_for_user_input(tmp_path, malformed):
+@pytest.mark.parametrize("case", ["missing", "malformed", "sweep"])
+def test_entry_point_prints_no_traceback_for_user_input(tmp_path, case):
     src = os.path.dirname(os.path.dirname(os.path.abspath(certilind.__file__)))
     path = tmp_path / "model.json"
-    if malformed:
+    command = ["simulate", str(path)]
+    if case == "malformed":
         path.write_text(json.dumps({**cat_doc(), "hamiltonian": [5]}))
+    elif case == "sweep":
+        path.write_text(json.dumps(cat_doc()))
+        command = ["sweep", str(path), "--shapes", "4x"]
     out = subprocess.run(
-        [sys.executable, "-m", "certilind.cli", "simulate", str(path)],
+        [sys.executable, "-m", "certilind.cli", *command],
         env={**os.environ, "PYTHONPATH": src},
         cwd=tmp_path,
         capture_output=True,
@@ -771,7 +811,8 @@ def test_entry_point_prints_no_traceback_for_user_input(tmp_path, malformed):
     assert out.returncode == 1
     assert out.stderr.count("certilind: error:") == 1
     assert "Traceback" not in out.stderr
-    assert ("hamiltonian[0]" if malformed else str(path)) in out.stderr
+    expected = {"missing": str(path), "malformed": "hamiltonian[0]", "sweep": "'4x'"}
+    assert expected[case] in out.stderr
 
 
 def test_import_leaves_scipy_linear_algebra_unloaded():

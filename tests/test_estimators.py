@@ -34,9 +34,11 @@ from certilind.lindblad import (
     truncated_expr,
 )
 from models import (
+    annihilator,
     cat_buffer_model,
     cat_model,
     cosine_hamiltonian_model,
+    creator,
     gkp_model,
     gkp_terms_model,
     linear_drive_model,
@@ -114,6 +116,22 @@ class TestOneTablePerShape:
         assert len(table_calls) == 1
         model_space_defect(model, 0.0, fock_density(shape, [0]))
         assert len(table_calls) == 1
+
+    def test_gkp_generator_truncates_each_dissipator_once(self, monkeypatch):
+        # the orbit form reuses the stored sector-1 jump; it once
+        # truncated Gamma_1 a second time (5 calls on the preset)
+        calls = []
+        truncate = lindblad._gkp_truncated_gamma
+
+        def counting_truncate(*args):
+            calls.append(args)
+            return truncate(*args)
+
+        monkeypatch.setattr(lindblad, "_gkp_truncated_gamma", counting_truncate)
+        built = preset_model_file("gkp").build()
+        gen = lindblad._ShapedGenerator(built.model, built.shape)
+        assert gen.orbits is not None
+        assert [args[3] for args in calls] == [0, 1, 2, 3]
 
     def test_cosine_generator_and_defect(self, table_calls):
         model = cosine_hamiltonian_model([0.7, 0.3], [0.0, 0.5])
@@ -275,7 +293,7 @@ class TestClosedForms:
 
     def test_blocks_zero_for_plain_loss(self):
         rng = np.random.default_rng(106)
-        a = PolyOperator.annihilator(1, 0)
+        a = annihilator(1, 0)
         rho = DenseOperator(Rect([5]), random_density(rng, 6))
         assert dissipator_defect_blocks(a, rho) <= 1e-14
 
@@ -283,7 +301,7 @@ class TestClosedForms:
         rng = np.random.default_rng(107)
         alpha = 1.0
         gamma = (
-            PolyOperator.annihilator(1, 0) * PolyOperator.annihilator(1, 0)
+            annihilator(1, 0) * annihilator(1, 0)
             - PolyOperator.identity(1, alpha**2)
         )
         for n in (3, 7):
@@ -672,7 +690,7 @@ class TestTimeBounds:
         got = euler_timedep_step_bound(model, rho, t_n, dt)
 
         h1 = materialize_poly(
-            PolyOperator.annihilator(1, 0) + PolyOperator.creator(1, 0), Rect([n + 2])
+            annihilator(1, 0) + creator(1, 0), Rect([n + 2])
         ).matrix
         emb = np.zeros((n + 3, n + 3), dtype=complex)
         emb[: n + 1, : n + 1] = rho_mat

@@ -25,6 +25,7 @@ from certilind.fockspace import (
     project,
     shrink,
 )
+from models import dense_identity
 
 
 def brute_weighted_count(weights, cap, kmax=200):
@@ -136,7 +137,7 @@ class TestContains:
 
 class TestEmbedProject:
     def test_identity_embedding(self):
-        op = DenseOperator.identity(Rect([1]))
+        op = dense_identity(Rect([1]))
         out = embed(op, Rect([2]))
         assert np.allclose(out.matrix, np.diag([1.0, 1.0, 0.0]))
 
@@ -196,7 +197,7 @@ class TestEmbedProject:
         assert np.isclose(lost, brute, rtol=0, atol=1e-12)
 
     def test_containment_violation(self):
-        op = DenseOperator.identity(Rect([3]))
+        op = dense_identity(Rect([3]))
         with pytest.raises(ShapeError):
             embed(op, Rect([2]))
         with pytest.raises(ShapeError):
@@ -280,6 +281,30 @@ def test_grow_always_contains(caps, inc):
     assert contains(shape, grow(shape, inc))
 
 
+@st.composite
+def shapes(draw, modes):
+    """A Rect, WeightedTotal or Sector of either on ``modes`` modes."""
+    if draw(st.booleans()):
+        base = Rect(draw(st.lists(st.integers(0, 4), min_size=modes, max_size=modes)))
+    else:
+        weight = st.fractions(min_value=Fraction(1, 3), max_value=2, max_denominator=3)
+        weights = draw(st.lists(weight, min_size=modes, max_size=modes))
+        base = WeightedTotal(weights, draw(st.fractions(0, 4, max_denominator=3)))
+    if draw(st.booleans()):
+        return base
+    moduli = draw(st.lists(st.integers(0, 3), min_size=modes, max_size=modes))
+    residues = [draw(st.integers(0, max(m - 1, 0) if m else 3)) for m in moduli]
+    return Sector(base, moduli, residues)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), modes=st.integers(1, 2))
+def test_contains_is_membership_in_the_basis_index(data, modes):
+    small, big = data.draw(shapes(modes)), data.draw(shapes(modes))
+    index = basis_map(big).index
+    assert contains(small, big) == all(s in index for s in basis_map(small).states)
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     weights=st.lists(
@@ -338,7 +363,7 @@ class TestSector:
         for sector in self.sectors(base):
             states = basis_map(sector).states
             assert states == tuple(s for s in full if sector.in_sector(s))
-            assert all(sector.admits(s) for s in states)
+            assert contains(sector, base)
             seen += len(states)
         assert seen == len(full)  # the sectors partition the base
 

@@ -33,9 +33,12 @@ from certilind.lindblad import (
     truncated_expr,
 )
 from models import (
+    annihilator,
     cat_buffer_model,
     cat_model,
     cosine_hamiltonian_model,
+    creator,
+    dense_identity,
     gkp_model,
     gkp_terms_model,
     linear_drive_model,
@@ -94,7 +97,7 @@ class TestGrowthMargin:
 class TestApplyTruncated:
     def test_single_photon_loss_on_fock_one(self):
         model = LindbladModel(
-            1, dissipators=(PolyExpr(PolyOperator.annihilator(1, 0)),)
+            1, dissipators=(PolyExpr(annihilator(1, 0)),)
         )
         shape = Rect([1])
         rho = np.diag([0.0, 1.0]).astype(complex)
@@ -256,7 +259,7 @@ class TestApplyExactEmbedded:
         assert abs(out.trace()) < 1e-12
 
     def test_rejects_gkp(self):
-        rho = DenseOperator.identity(Rect([3]))
+        rho = dense_identity(Rect([3]))
         with pytest.raises(ModelError):
             grown_shape(gkp_model(), rho.shape)
 
@@ -306,7 +309,7 @@ class TestModelValidation:
                 1,
                 dissipators=(
                     GkpDissipator(1.0, 1.0, 0.1, 0),
-                    PolyExpr(PolyOperator.annihilator(1, 0)),
+                    PolyExpr(annihilator(1, 0)),
                 ),
             )
 
@@ -384,7 +387,7 @@ class TestConservedCharges:
         assert conserved_charges(preset_model_file(name).build().model) == moduli
 
     def test_conserved_occupation_and_cosine(self):
-        h = PolyExpr(PolyOperator.creator(1, 0) * PolyOperator.annihilator(1, 0))
+        h = PolyExpr(creator(1, 0) * annihilator(1, 0))
         closed = LindbladModel(1, hamiltonian=((CoefficientFn.constant(1.0), h),))
         assert conserved_charges(closed) == (0,)
         assert conserved_charges(cosine_hamiltonian_model([1.0])) is None
