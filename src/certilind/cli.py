@@ -11,10 +11,12 @@ Exit codes: 0 success, 1 parse/model error, 2 certification failure
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import os
 import sys
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, replace
@@ -52,9 +54,18 @@ def _fail(message: str) -> int:
 
 
 def _atomic_write(path: str, writer) -> None:
-    tmp = f"{path}.tmp"
-    writer(tmp)
-    os.replace(tmp, path)
+    """``writer(tmp)`` to a temporary file beside ``path``, then moved onto
+    it.  The temporary name is this process's and thread's own, so
+    threads writing the same path (a repeated ``sweep`` shape) never
+    share one; the writer creates the file, with the usual mode."""
+    tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
+    try:
+        writer(tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def _write_text(path: str, text: str) -> None:

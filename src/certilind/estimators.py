@@ -33,7 +33,9 @@ from .lindblad import (
     CoefficientFn,
     LindbladModel,
     ModelError,
+    _adjoint,
     _gkp_blocks,
+    _left_products,
     _off_class_mask,
     _phase_conjugate,
     gauge_phases,
@@ -153,43 +155,62 @@ def _grown_generator(model: LindbladModel, shape: TruncationShape, k: int = 1):
 
 
 class _DefectContext:
-    """The defect D = (L - L_N) rho of a polynomial model, from one
-    application of the generator on the margin-grown shape.
+    """The defect D = (L - L_N) rho of a polynomial model, from the rows
+    of the margin-grown generator that cross the cut.
 
-    With P the shape and P_perp the rest of the grown shape, the grown
-    generator gives the off blocks and the outer block of D exactly.
-    Its inner block is -(1/2)(B rho + rho B), B = sum_k C_k^dag C_k for
-    the boundary jumps C_k = P_perp Gamma_k P, read from the grown
-    generator's jumps; when every C_k is zero, so are both diagonal
-    blocks, and ||D||_1 is twice the singular-value sum of the off block.
-    The generator stores each jump in its real form when it has one, so B
-    is real then, and a real ``rho`` keeps every product and the
-    eigensolve real.
+    With P the shape, P_perp the rest of the grown shape, rho = P rho P,
+    A_perp = P_perp A P (and likewise each time-dependent -i H_i),
+    C_k = P_perp G_k P and G_kN = P G_k P, D has the blocks
+      off    X = A_perp rho + sum_i u_i(t) (-i H_i)_perp rho
+                 + sum_k C_k rho G_kN^dag,
+      outer  sum_k C_k rho C_k^dag,
+      inner  -(1/2)(B rho + rho B), B = sum_k C_k^dag C_k.
+    When every C_k is zero, so are the outer and inner blocks, and
+    ||D||_1 is twice the singular-value sum of the m x d block X;
+    otherwise D is assembled from its blocks for one eigensolve.  The
+    slices keep the grown operators' storage and nonzero order, so X is
+    entry for entry the P_perp-P block of the grown generator applied to
+    the embedded rho.  The generator stores each jump in its real form
+    when it has one, so B is real then, and a real ``rho`` keeps every
+    product and the eigensolve real.
     """
 
     def __init__(self, model: LindbladModel, shape: TruncationShape):
-        self.gen_big, self.pos = _grown_generator(model, shape)
-        self.perp = _complement_indices(shape, self.gen_big.shape)
-        self.dim_big = self.gen_big.dim
+        gen, pos = _grown_generator(model, shape)
+        perp = _complement_indices(shape, gen.shape)
+        self.empty = perp.size == 0
+        self.dtype = gen.dtype
+        self.a = gen.a[perp][:, pos]
+        self.varying = [(coeff, factor, op[perp][:, pos]) for coeff, factor, op in gen.varying]
+        self.jumps = []  # (C_k, G_kN) of each jump that takes a state across the cut
         self.boundary = None  # B, None when every C_k is zero
-        for _, g in self.gen_big.jumps:
-            c = g[self.perp][:, self.pos]
-            c = c.toarray() if sparse.issparse(c) else c
-            if c.any():
-                b = c.conj().T @ c
+        for _, g in gen.jumps:
+            c = g[perp][:, pos]
+            dense = c.toarray() if sparse.issparse(c) else c
+            if dense.any():
+                self.jumps.append((c, g[pos][:, pos]))
+                b = dense.conj().T @ dense
                 self.boundary = b if self.boundary is None else self.boundary + b
 
     def defect(self, t: float, rho: np.ndarray) -> float:
         """||(L - L_N) rho||_1 for a Hermitian ``rho`` on the shape."""
-        if self.perp.size == 0:
+        if self.empty:
             return 0.0
-        delta = self.gen_big.apply(t, _embed_array(rho, self.pos, self.dim_big))
+        if self.dtype.kind == "c" and rho.dtype.kind != "c":
+            rho = rho.astype(self.dtype)
+        off = _left_products(self.a, self.varying, t, rho)
+        for c, g in self.jumps:
+            off += c @ _adjoint(g @ rho)
         if self.boundary is None:
-            off = delta[np.ix_(self.perp, self.pos)]
             return 2.0 * trace_norm(off)
+        d = rho.shape[0]
+        delta = np.empty((d + off.shape[0],) * 2, dtype=off.dtype)
         half = self.boundary @ rho
         half *= -0.5
-        delta[np.ix_(self.pos, self.pos)] = half + half.conj().T
+        delta[:d, :d] = half + half.conj().T
+        delta[d:, :d] = off
+        delta[:d, d:] = off.conj().T
+        delta[d:, d:] = sum(c @ _adjoint(c @ rho) for c, _ in self.jumps)
         return _hermitian_trace_norm(delta)
 
 

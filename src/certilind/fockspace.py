@@ -35,6 +35,7 @@ __all__ = [
     "contains",
     "embed",
     "project",
+    "discarded_floor",
     "trace_norm",
     "grow",
     "shrink",
@@ -309,6 +310,24 @@ def project(
     discarded = op.matrix.copy()
     discarded[block] = 0
     return DenseOperator(shape_small, op.matrix[block]), trace_norm(discarded)
+
+
+def discarded_floor(op: DenseOperator, shape_small: TruncationShape) -> float:
+    """A lower bound of the tail that ``project(op, shape_small)`` returns,
+    at the cost of two slices and no SVD.
+
+    The Frobenius norm of M - P M P is at most its trace norm.  It is
+    read from the rows past the shape and the kept rows' columns past
+    it, never as a difference of squares, and taken less 1e-6 of itself,
+    which covers the rounding of both norms."""
+    if op.shape == shape_small:
+        return 0.0
+    idx = _embedding_indices(shape_small, op.shape)
+    perp = _complement_indices(shape_small, op.shape)
+    mat = op.matrix
+    rows = np.linalg.norm(mat[perp])
+    cols = np.linalg.norm(mat[np.ix_(idx, perp)])
+    return float(np.hypot(rows, cols)) * (1.0 - 1e-6)
 
 
 def trace_norm(op) -> float:

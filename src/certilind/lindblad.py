@@ -443,6 +443,20 @@ def _real_form(mat: np.ndarray, scale: complex = 1.0):
     return mat, scale
 
 
+def _left_products(a, varying, t: float, rho: np.ndarray) -> np.ndarray:
+    """A rho + sum_i u_i(t) factor_i op_i rho, each time-dependent term
+    (coeff, factor, op) of ``varying`` skipped where u_i(t) = 0."""
+    half = a @ rho
+    for coeff, factor, op in varying:
+        u = coeff(t)
+        if u == 0.0:
+            continue
+        z = op @ rho
+        z *= factor * u
+        half += z
+    return half
+
+
 class _ShapedGenerator:
     """Materialized truncated operators of a model on one shape, in the
     form L_N(rho) = A rho + rho A^dag + sum_k w_k G_k rho G_k^dag.
@@ -526,14 +540,7 @@ class _ShapedGenerator:
             mask, a, jumps = self.orbits
         elif self.dtype.kind == "c" and rho.dtype.kind != "c":
             rho = rho.astype(self.dtype)
-        half = a @ rho
-        for coeff, factor, op in self.varying:
-            u = coeff(t)
-            if u == 0.0:
-                continue
-            z = op @ rho
-            z *= factor * u
-            half += z
+        half = _left_products(a, self.varying, t, rho)
         out = _adjoint(half)
         out += half
         for weight, g in jumps:

@@ -48,6 +48,7 @@ from .fockspace import (
     charge_residues,
     contains,
     dimension,
+    discarded_floor,
     embed,
     grow,
     project,
@@ -627,10 +628,10 @@ def _run(
         change = "none"
         if resize:
             threshold = budget(t) / config.downsize_factor
-            # the discarded tail is a trace norm (>= 0): no shrink can pass
-            # once xi alone reaches the threshold, so skip the projection
+            # the discarded tail is a trace norm, at least discarded_floor
+            # (>= 0): project only when a shrink can still pass
             shrunk = _try_shrink(rho.shape, config) if ledger.xi < threshold else None
-            if shrunk is not None:
+            if shrunk is not None and ledger.xi + discarded_floor(rho, shrunk) < threshold:
                 restricted, tail = project(rho, shrunk)
                 if ledger.xi + tail < threshold:
                     ledger = ledger.record(t, "shrink_jump", tail)

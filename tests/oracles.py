@@ -3,10 +3,12 @@
 Closed forms of the paper for the linear drive and the two-photon cat,
 the 2x2 block decomposition of a polynomial dissipator's defect, dense
 forms of the truncated generator, polynomial words as products of
-dense ladder matrices on a grown shape, runs in complex arithmetic, and
-the trace norm of a Hermitian matrix from its eigenvalues.
-Each is written independently of the route the program takes, so the
-tests can hold the program to it.  ``unitary_offblock_norm`` is the
+dense ladder matrices on a grown shape, runs in complex arithmetic,
+the trace norm of a Hermitian matrix from its eigenvalues, and the
+polynomial space defect from one application of the whole generator on
+the margin-grown shape (``grown_apply_defect``).  Each is written
+independently of the route the program takes, so the tests can hold
+the program to it.  ``unitary_offblock_norm`` is the
 truncated-unitary norm identity in its Gram form, with its PSD guard
 ``tr_sqrt_psd``, which the unitary-lemma tests compare with enlarged
 oracles; ``displacement_q``, ``cosine_unitary_pair`` and
@@ -22,12 +24,14 @@ from functools import lru_cache
 from unittest import mock
 
 import numpy as np
+from scipy import sparse
 
 from certilind.fockspace import (
     DenseOperator,
     Rect,
     TruncationShape,
     _complement_indices,
+    _embed_array,
     _embedding_indices,
     _grow_by_margin,
     basis_map,
@@ -37,7 +41,7 @@ from certilind.fockspace import (
 )
 from certilind import solver
 from certilind.estimators import EstimatorError
-from certilind.lindblad import _gkp_q_poly, shaped_generator, truncated_expr
+from certilind.lindblad import _gkp_q_poly, grown_shape, shaped_generator, truncated_expr
 from certilind.operators import (
     OperatorError,
     PolyOperator,
@@ -239,6 +243,34 @@ def gkp_bound_oracle(amplitude, eta, eps, rho: np.ndarray, sector: int) -> float
     t4 = beyond(u, q @ rho)
     t5 = amplitude * beyond(u_dag, v @ rho)
     return t1 + t2 + t3 + t4 + t5
+
+
+def grown_apply_defect(model, t: float, rho: DenseOperator) -> float:
+    """||(L - L_N) rho||_1 of a polynomial model from one application of
+    the whole generator on the margin-grown shape: rho embedded there,
+    the result's inner block replaced by -(1/2)(B rho + rho B) with
+    B = sum_k C_k^dag C_k for the boundary jumps C_k = P_perp G_k P, and
+    twice the off block's singular-value sum when every C_k is zero."""
+    mat = np.asarray(rho.matrix)
+    big = grown_shape(model, rho.shape)
+    gen = shaped_generator(model, big)
+    pos = _embedding_indices(rho.shape, big)
+    perp = _complement_indices(rho.shape, big)
+    if perp.size == 0:
+        return 0.0
+    delta = gen.apply(t, _embed_array(mat, pos, gen.dim))
+    boundary = None
+    for _, g in gen.jumps:
+        c = g[perp][:, pos]
+        c = c.toarray() if sparse.issparse(c) else c
+        if c.any():
+            b = c.conj().T @ c
+            boundary = b if boundary is None else boundary + b
+    if boundary is None:
+        return 2.0 * trace_norm(delta[np.ix_(perp, pos)])
+    half = -0.5 * (boundary @ mat)
+    delta[np.ix_(pos, pos)] = half + half.conj().T
+    return float(np.abs(_hermitian_eigvalsh(delta)).sum())
 
 
 def apply_truncated(model, t: float, rho: DenseOperator) -> DenseOperator:

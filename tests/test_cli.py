@@ -4,11 +4,13 @@ import math
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
 
 import certilind
+from certilind import cli
 from certilind.cli import cmd_simulate, cmd_sweep, main
 from certilind.fockspace import DenseOperator, Rect, WeightedTotal, dimension
 from certilind.lindblad import GkpDissipator, PolyExpr
@@ -617,6 +619,45 @@ class TestCommands:
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith(f"certilind: error: shape item '{item}' is not ")
 
+    def test_threads_writing_one_path_each_use_their_own_temporary(self, tmp_path):
+        # a repeated sweep shape writes one point file from two threads;
+        # the barrier holds both temporary files open before either moves
+        # onto the target, which a shared temporary name cannot survive
+        target = str(tmp_path / "point.json")
+        barrier = threading.Barrier(2, timeout=10)
+        errors = []
+
+        def write(text):
+            def writer(tmp):
+                with open(tmp, "w") as fh:
+                    fh.write(text)
+                barrier.wait()
+
+            try:
+                cli._atomic_write(target, writer)
+            except Exception as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=write, args=(text,)) for text in ("one", "two")]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert (tmp_path / "point.json").read_text() in ("one", "two")
+        assert os.listdir(tmp_path) == ["point.json"]
+
+    def test_failed_write_leaves_no_temporary(self, tmp_path):
+        def writer(tmp):
+            with open(tmp, "w") as fh:
+                fh.write("partial")
+            raise OSError("disk full")
+
+        with pytest.raises(OSError, match="disk full"):
+            cli._atomic_write(str(tmp_path / "point.json"), writer)
+        assert os.listdir(tmp_path) == []
+
     def test_initial_from_file(self, tmp_path):
         from certilind.fockspace import DenseOperator
 
@@ -834,8 +875,9 @@ def test_import_leaves_scipy_linear_algebra_unloaded():
 
 
 def traced_run_report(run_code):
-    """Steps and span categories of ``run_code`` (which sets ``result``)
-    run in a fresh process under the benchmark's tracer."""
+    """Steps, span categories and (parent, child) category pairs of
+    ``run_code`` (which sets ``result``) run in a fresh process under the
+    benchmark's tracer."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(certilind.__file__)))
     perfbench = os.path.join(os.path.dirname(src), "perfbench")
     code = f"""
@@ -849,8 +891,10 @@ from certilind.solver import SolverConfig, run_fixed
 tracer = tracing.Tracer()
 tracing.install(tracer)
 {run_code}
+spans = tracer.spans
 print(json.dumps({{"steps": len(result.trajectory),
-                  "spans": sorted({{s[0] for s in tracer.spans}})}}))
+                  "spans": sorted({{s[0] for s in spans}}),
+                  "edges": sorted({{(spans[s[3]][0], s[0]) for s in spans if s[3] >= 0}})}}))
 """
     out = subprocess.run(
         [sys.executable, "-c", code],
@@ -883,6 +927,29 @@ result = run_fixed(model, fock_density(shape, [3]), shape, config)
         "estimators.ledger",
         "solver.step",
     } <= set(report["spans"])
+    # the defect reads the grown generator's boundary rows, and applies no
+    # generator; no jump of a^dag a with loss crosses the cut
+    assert ["estimators.defect", "lindblad.apply"] not in report["edges"]
+    assert "estimators.full_eig" not in report["spans"]
+
+
+def test_bench_tracing_hooks_attach_boundary_jumps():
+    # exampleD's jump takes the top levels across the cut (B != 0): each
+    # defect is one traced eigensolve of the assembled blocks, and still
+    # no generator application
+    report = traced_run_report(
+        """
+built = preset_model_file("exampleD", cap=10).build()
+config = replace(built.config, final_time=0.01)
+result = run_fixed(built.model, built.initial, built.shape, config)
+"""
+    )
+    assert report["steps"] >= 2
+    assert ["estimators.defect", "estimators.full_eig"] in report["edges"]
+    assert ["estimators.defect", "lindblad.apply"] not in report["edges"]
+    assert {"estimators.context_build", "lindblad.apply", "solver.step"} <= set(
+        report["spans"]
+    )
 
 
 def test_bench_tracing_hooks_attach_gkp():

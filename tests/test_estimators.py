@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from certilind import estimators, lindblad, operators
+from certilind import estimators, lindblad, operators, solver
 from certilind.estimators import (
     EstimatorError,
     EstimatorLedger,
@@ -29,6 +29,7 @@ from certilind.lindblad import (
     CoefficientFn,
     GkpDissipator,
     LindbladModel,
+    PolyExpr,
     grown_shape,
     shaped_generator,
     truncated_expr,
@@ -44,6 +45,7 @@ from models import (
     linear_drive_model,
     number_drive_model,
     squeezed_cat_model,
+    word_poly,
 )
 from certilind.operators import (
     PolyOperator,
@@ -60,6 +62,7 @@ from oracles import (
     displacement_q,
     dissipator_defect_blocks,
     gkp_bound_oracle,
+    grown_apply_defect,
     hermitian_trace_norm,
     lindblad_superoperator,
     rotation_invariant_density,
@@ -237,8 +240,8 @@ class TestSpaceDefectGeneric:
     @pytest.mark.parametrize("name", ["exampleC", "exampleD"])
     def test_defect_across_the_storage_threshold(self, monkeypatch, name):
         # the shape is dense below cap 63 and its grown shape (cap + 4)
-        # is CSR from cap 59 up; the defect takes one grown-shape
-        # application and subtracts nothing, so the two storages cannot
+        # is CSR from cap 59 up; the defect reads the grown operators'
+        # boundary rows and subtracts nothing, so the two storages cannot
         # round apart in it
         eig_calls = []
         full_eig = estimators._hermitian_trace_norm
@@ -261,6 +264,90 @@ class TestSpaceDefectGeneric:
             assert got == pytest.approx(want, rel=1e-12, abs=0.0)
         # a^2 - alpha^2 takes no state across the cut: off blocks only
         assert (eig_calls == []) == (name == "exampleC")
+
+
+def adaptive2d_frame():
+    """The adaptive2d preset's model and start shape in its working frame:
+    a real gauge on a charge sector of a WeightedTotal, with a ``table``
+    drive."""
+    built = preset_model_file("adaptive2d").build()
+    _, model, rho = solver._enter_frame(built.model, built.initial)
+    return model, rho.shape
+
+
+def complex_drive_model():
+    """H = (1 + i) a + (1 - i) a^dag + a^dag a with two-photon loss: no
+    gauge of powers of i makes it real, so its generator is complex."""
+    ham = word_poly((1 + 1j, "a"), (1 - 1j, "A"), (1.0, "Aa"))
+    return LindbladModel(
+        1,
+        hamiltonian=((CoefficientFn.constant(1.0), PolyExpr(ham)),),
+        dissipators=(PolyExpr(word_poly((1.0, "aa"), (-1.0, ""))),),
+    )
+
+
+def pumped_cat_model():
+    """The two-photon cat with an extra a^dag jump, which takes the top
+    level across the cut (B != 0)."""
+    return LindbladModel(
+        1, dissipators=cat_model(1.0).dissipators + (PolyExpr(creator()),)
+    )
+
+
+def exampled_model():
+    return preset_model_file("exampleD").build().model
+
+
+class TestBoundaryRowKernel:
+    """The defect from the boundary rows against the whole grown
+    generator applied to the embedded state (``grown_apply_defect``):
+    the same number when no jump crosses the cut, and within rounding
+    of one eigensolve of the same blocks when one does."""
+
+    @pytest.mark.parametrize(
+        "model, shape, t, csr",
+        [
+            (lambda: preset_model_file("exampleE").build().model, Rect([5, 3]), 0.0, False),
+            (lambda: preset_model_file("exampleE").build().model, Rect([10, 6]), 0.0, True),
+            (adaptive2d_frame, None, 0.1, None),
+            (adaptive2d_frame, None, 2.0, None),
+            (lambda: adaptive2d_frame()[0], Rect([8, 4]), 2.0, None),
+            (complex_drive_model, Rect([6]), 0.0, False),
+            (complex_drive_model, Rect([70]), 0.0, True),
+        ],
+        ids=["rect_dense", "rect_csr", "sector_drive_on", "sector_drive_off",
+             "rect_drive_off", "complex_dense", "complex_csr"],
+    )
+    def test_equals_grown_apply_without_boundary_jumps(self, model, shape, t, csr):
+        # csr: whether the grown generator stores its operators as CSR
+        built = model()
+        model, shape = built if shape is None else (built, shape)
+        assert estimators._defect_context(model, shape).boundary is None
+        if csr is not None:
+            assert shaped_generator(model, grown_shape(model, shape)).use_sparse == csr
+        rng = np.random.default_rng(dimension(shape))
+        for rho in (
+            random_density(rng, dimension(shape)),
+            random_density(rng, dimension(shape)).real.copy(),
+        ):
+            rho = DenseOperator(shape, rho)
+            assert model_space_defect(model, t, rho) == grown_apply_defect(model, t, rho)
+
+    @pytest.mark.parametrize(
+        "model, cap",
+        [(exampled_model, 9), (exampled_model, 66), (pumped_cat_model, 9),
+         (pumped_cat_model, 66)],
+        ids=["exampleD_dense", "exampleD_csr", "pumped_cat_dense", "pumped_cat_csr"],
+    )
+    def test_matches_grown_apply_with_boundary_jumps(self, model, cap):
+        model = model()
+        shape = Rect([cap])
+        assert estimators._defect_context(model, shape).boundary is not None
+        rng = np.random.default_rng(cap)
+        for rho in (random_density(rng, cap + 1), decaying_density(rng, cap + 1)):
+            rho = DenseOperator(shape, rho)
+            got = model_space_defect(model, 0.0, rho)
+            assert got == pytest.approx(grown_apply_defect(model, 0.0, rho), rel=1e-13)
 
 
 class TestClosedForms:

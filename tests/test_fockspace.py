@@ -20,6 +20,7 @@ from certilind.fockspace import (
     charge_residues,
     contains,
     dimension,
+    discarded_floor,
     embed,
     grow,
     project,
@@ -303,6 +304,42 @@ def test_contains_is_membership_in_the_basis_index(data, modes):
     small, big = data.draw(shapes(modes)), data.draw(shapes(modes))
     index = basis_map(big).index
     assert contains(small, big) == all(s in index for s in basis_map(small).states)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    data=st.data(),
+    modes=st.integers(1, 2),
+    step=st.integers(0, 2),
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["psd", "hermitian", "dropped_only"]),
+    rank=st.integers(1, 4),
+    complex_entries=st.booleans(),
+)
+def test_discarded_floor_never_exceeds_the_tail(
+    data, modes, step, seed, kind, rank, complex_entries
+):
+    # the solver projects only when xi + floor passes, so a floor above
+    # project's tail would skip a shrink that passes; a PSD matrix held
+    # on the dropped states alone is the case where the Frobenius and
+    # trace norms agree
+    small = data.draw(shapes(modes))
+    big = grow(small, step)
+    rng = np.random.default_rng(seed)
+    d = dimension(big)
+    factor = rng.standard_normal((d, rank))
+    if complex_entries:
+        factor = factor + 1j * rng.standard_normal((d, rank))
+    if kind == "dropped_only":
+        factor[_embedding_indices(small, big)] = 0.0
+    mat = factor @ factor.conj().T
+    if kind == "hermitian":
+        mat = mat - 2.0 * rng.standard_normal() * np.eye(d)
+    op = DenseOperator(big, mat)
+    floor = discarded_floor(op, small)
+    _, tail = project(op, small)
+    assert 0.0 <= floor <= tail
+    assert (floor == 0.0) == (tail == 0.0)
 
 
 @settings(max_examples=50, deadline=None)

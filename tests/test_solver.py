@@ -17,6 +17,8 @@ from certilind.fockspace import (
     WeightedTotal,
     basis_map,
     dimension,
+    discarded_floor,
+    project,
     trace_norm,
 )
 from certilind.lindblad import (
@@ -26,7 +28,6 @@ from certilind.lindblad import (
     conserved_charges,
     gauge_phases,
     gauged_model,
-    grown_shape,
     real_gauge,
 )
 from models import (
@@ -39,7 +40,8 @@ from models import (
     word_poly,
 )
 from certilind.operators import PolyOperator, fock_density
-from certilind.presets import preset_model_file
+from certilind.modelfile import ModelFile
+from certilind.presets import PRESETS, preset_model_file
 from certilind.solver import (
     CertificationError,
     SolverConfig,
@@ -470,6 +472,41 @@ class TestFakeShrinks:
         assert all(rec.resize == "none" for rec in result.trajectory)
 
 
+class TestShrinkFloor:
+    """The solver projects onto a shrunk shape only when the discarded
+    part's Frobenius floor leaves room for a shrink: a run takes every
+    shrink it takes without the floor, with the same tail."""
+
+    @staticmethod
+    def pulse_run(monkeypatch, floor):
+        # adaptive2d with its drive switched off at t = 0.2, to T = 1.5:
+        # it grows, then shrinks once the buffer has emptied
+        doc = PRESETS["adaptive2d"]()
+        doc["hamiltonian"][1]["coeff"]["table"] = [[0.0, -2.25], [0.2, 0.0]]
+        doc["solver"]["T"] = 1.5
+        built = ModelFile.from_dict(doc).build()
+        projections = []
+
+        def recording_project(op, shape):
+            projections.append(dimension(shape))
+            return project(op, shape)
+
+        monkeypatch.setattr(solver, "project", recording_project)
+        monkeypatch.setattr(solver, "discarded_floor", floor)
+        result = run_adaptive(built.model, built.initial, built.config)
+        return result, projections
+
+    def test_floor_skips_projections_and_changes_no_record(self, monkeypatch):
+        floored, floored_projections = self.pulse_run(monkeypatch, discarded_floor)
+        plain, plain_projections = self.pulse_run(monkeypatch, lambda op, shape: 0.0)
+        assert floored.trajectory == plain.trajectory
+        assert floored.ledger.entries == plain.ledger.entries
+        assert float(floored.xi).hex() == float(plain.xi).hex()
+        assert np.array_equal(floored.final.rho.matrix, plain.final.rho.matrix)
+        assert [r.resize for r in plain.trajectory].count("shrink") >= 1
+        assert len(floored_projections) < len(plain_projections) // 5
+
+
 class TestEntryCheck:
     """run_fixed and run_adaptive check once, at entry, that the initial
     state is Hermitian: the generator's one-sided products need it."""
@@ -505,7 +542,8 @@ class TestEntryCheck:
 
 class TestFirstSameAsLast:
     """One DP5 step reuses its last stage as the next step's first stage,
-    and each defect takes one grown-shape application.  Both models
+    and a defect applies no generator: it reads the grown generator's
+    boundary rows.  Both models
     conserve a charge, so every application runs on the vacuum's charge
     sector."""
 
@@ -560,7 +598,6 @@ class TestFirstSameAsLast:
         # the vacuum lies in the sector of zero charges, where the run goes
         sector = Sector(shape, conserved_charges(model), [0] * shape.mode_count)
         d = dimension(sector)
-        d_big = dimension(grown_shape(model, sector))
         assert d < dimension(shape)
         assert len(steps) >= 3
         assert all(calls == [d] * 6 for calls in attempts)
@@ -570,7 +607,7 @@ class TestFirstSameAsLast:
             assert calls == [d] * (6 * tries)
         assert len(defects) == len(steps)
         for t, rho, rate, calls in defects:
-            assert calls == [d_big]
+            assert calls == []
             assert np.array_equal(rho.matrix, rho.matrix.conj().T)
             assert rate == defect(model, t, rho)
         final = result.final.rho.matrix
